@@ -55,9 +55,16 @@ race:
 # Explicit gate on the parallelism guarantees: serial, frame-parallel
 # and tile-parallel (tile-workers 1, 2, 4 and beyond, plus the
 # composition of both axes) must produce byte-identical stats and obs
-# snapshots, race-detector clean.
+# snapshots, race-detector clean. Core count is a test axis too: the
+# -cpu 1,2,4 runs repeat the frame-parallel characterization, the
+# chunk-parallel k-means and selection, the tbr goldens, and the fabric
+# kill-worker and chaos-soak contracts at each GOMAXPROCS, so no
+# outcome can hide a dependence on the host's core count.
 determinism:
 	$(GO) test -race -count=1 -run '^TestGoldenDeterminism' ./internal/tbr
+	$(GO) test -race -count=1 -cpu 1,2,4 ./internal/funcsim ./internal/cluster ./internal/core
+	$(GO) test -race -count=1 -cpu 1,2,4 -run '^TestGoldenDeterminism' ./internal/tbr
+	$(GO) test -race -count=1 -cpu 1,2,4 -run '^TestClusterKillWorkerMidCampaign$$|^TestChaosSoakByzantineKillRestart$$' ./internal/fabric
 
 # Explicit gate on the resilience guarantees: the kill-and-resume
 # golden (byte-identical stats, obs snapshots and checkpoint bytes
@@ -93,10 +100,11 @@ fabric:
 # Explicit gate on the chaos-hardening guarantees: the deterministic
 # fault transport replays identical fault sequences for identical
 # seeds, and the end-to-end soak — a fleet with one byzantine worker
-# behind the chaos transport, every honest worker killed and restarted
-# mid-campaign — quarantines the byzantine worker, requeues the killed
-# frames, and still produces a report byte-identical to a clean
-# single-process run. Per-class property tests pin that every fault
+# tried first for every frame, its honest workers behind the chaos
+# transport, every honest worker killed and restarted mid-campaign —
+# quarantines the byzantine worker, requeues the killed frames, and
+# still produces a report byte-identical to a clean single-process
+# run. Per-class property tests pin that every fault
 # class either triggers recovery or is absorbed without a trace — all
 # race-detector clean.
 chaos:
@@ -228,6 +236,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzGeneratedProgramExec$$' -fuzztime 5s ./internal/shader
 	$(GO) test -run '^$$' -fuzz '^FuzzValidateArbitraryPrograms$$' -fuzztime 5s ./internal/shader
 	$(GO) test -run '^$$' -fuzz '^FuzzSearch$$' -fuzztime 5s ./internal/cluster
+	$(GO) test -run '^$$' -fuzz '^FuzzBoundedAssign$$' -fuzztime 5s ./internal/cluster
 	$(GO) test -run '^$$' -fuzz '^FuzzCheckpointDecode$$' -fuzztime 5s ./internal/resilience
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeCampaignRequest$$' -fuzztime 5s ./internal/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeWorkUnit$$' -fuzztime 5s ./internal/fabric

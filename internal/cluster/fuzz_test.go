@@ -53,6 +53,37 @@ func fuzzDataset(raw []byte) [][]float64 {
 // clustering must satisfy. Any panic (empty cluster, NaN centroid,
 // division by zero variance) is a finding.
 func FuzzSearch(f *testing.F) {
+	addSearchSeeds(f)
+
+	f.Fuzz(func(t *testing.T, raw []byte, seed uint64) {
+		data := fuzzDataset(raw)
+		if len(data) == 0 {
+			t.Skip()
+		}
+		// Cap the search so pathological inputs stay fast.
+		cfg := SearchConfig{Threshold: 0.85, MaxK: 8, MaxIterations: 30, Restarts: 1, Patience: 1}
+		res, err := Search(data, cfg, stats.NewRNG(seed))
+		if err != nil {
+			t.Fatalf("Search on %d valid points: %v", len(data), err)
+		}
+		checkClustering(t, res.Best, data)
+		if res.StoppedAt < res.Best.K {
+			t.Fatalf("StoppedAt %d < selected K %d", res.StoppedAt, res.Best.K)
+		}
+		if len(res.Scores) != res.StoppedAt {
+			t.Fatalf("explored %d scores but StoppedAt = %d", len(res.Scores), res.StoppedAt)
+		}
+		for k, s := range res.Scores {
+			if math.IsNaN(s) {
+				t.Fatalf("BIC score for k=%d is NaN", k+1)
+			}
+		}
+	})
+}
+
+// addSearchSeeds adds FuzzSearch's seed corpus — single point, float
+// edge cases, duplicate-heavy and well-separated data — to f.
+func addSearchSeeds(f *testing.F) {
 	// Single point.
 	one := []byte{0x00}
 	one = binary.LittleEndian.AppendUint64(one, math.Float64bits(1.5))
@@ -86,31 +117,6 @@ func FuzzSearch(f *testing.F) {
 		extremes = binary.LittleEndian.AppendUint64(extremes, math.Float64bits(v))
 	}
 	f.Add(extremes, uint64(9))
-
-	f.Fuzz(func(t *testing.T, raw []byte, seed uint64) {
-		data := fuzzDataset(raw)
-		if len(data) == 0 {
-			t.Skip()
-		}
-		// Cap the search so pathological inputs stay fast.
-		cfg := SearchConfig{Threshold: 0.85, MaxK: 8, MaxIterations: 30, Restarts: 1, Patience: 1}
-		res, err := Search(data, cfg, stats.NewRNG(seed))
-		if err != nil {
-			t.Fatalf("Search on %d valid points: %v", len(data), err)
-		}
-		checkClustering(t, res.Best, data)
-		if res.StoppedAt < res.Best.K {
-			t.Fatalf("StoppedAt %d < selected K %d", res.StoppedAt, res.Best.K)
-		}
-		if len(res.Scores) != res.StoppedAt {
-			t.Fatalf("explored %d scores but StoppedAt = %d", len(res.Scores), res.StoppedAt)
-		}
-		for k, s := range res.Scores {
-			if math.IsNaN(s) {
-				t.Fatalf("BIC score for k=%d is NaN", k+1)
-			}
-		}
-	})
 }
 
 // checkClustering asserts the structural invariants of a Result.

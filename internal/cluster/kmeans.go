@@ -8,10 +8,8 @@ package cluster
 import (
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
+	"repro/internal/pool"
 	"repro/internal/xmath/linalg"
 	"repro/internal/xmath/stats"
 )
@@ -86,9 +84,10 @@ func KMeansSeeded(data [][]float64, k int, rng *stats.RNG, maxIter int, seeds []
 	assign := make([]int, n)
 	sizes := make([]int, k)
 	res := Result{K: k}
+	bnd := newAssigner(n, k, d)
 
 	for iter := 0; iter < maxIter; iter++ {
-		changed := assignAndSum(data, centroids, assign, sizes, iter == 0)
+		changed := bnd.assignAndSum(data, centroids, assign, sizes, iter == 0)
 		// Update step: per-chunk partial sums merged in chunk order, so
 		// the result is bit-identical regardless of parallelism.
 		next := sumByCluster(data, assign, k, d)
@@ -144,7 +143,7 @@ func KMeansSeeded(data [][]float64, k int, rng *stats.RNG, maxIter int, seeds []
 	}
 
 	// Final stats.
-	assignAndSum(data, centroids, assign, sizes, true)
+	bnd.assignAndSum(data, centroids, assign, sizes, true)
 	wcss := 0.0
 	for i, x := range data {
 		wcss += linalg.SquaredDistance(x, centroids[assign[i]])
@@ -164,29 +163,170 @@ const parallelChunk = 512
 // overhead dominates.
 const parallelThreshold = 1 << 21
 
+// Distances below minBound or above maxBound never license a skip: their
+// squares can underflow into subnormals (where rounding error is no
+// longer relative) or overflow to +Inf (where every comparison ties and
+// the scan's first-index rule decides). tinyBound pads every bound for
+// the absolute error subnormal squares can contribute.
+const (
+	minBound  = 1e-100
+	maxBound  = 1e150
+	tinyBound = 1e-150
+)
+
+// bounds carries Hamerly's per-point distance bounds across the Lloyd
+// iterations of one KMeansSeeded call. upper[i] is at least the
+// distance from point i to its assigned centroid; lower[i] is at most
+// its distance to any other centroid. When upper[i] is strictly below
+// lower[i], the assigned centroid is the unique nearest one and the
+// k-distance scan is skipped.
+//
+// A skip must reproduce exactly what the scan would have chosen,
+// including over computed (rounded) squared distances, so every bound
+// is kept conservative by a relative slack far above the rounding error
+// of a D-term sum of squares, plus tinyBound of absolute padding, and a
+// skip requires the strict inequality with that slack on both sides.
+// Non-finite distances (NaN or Inf data, overflowed centroids) never
+// produce a usable bound: the point is rescanned. The assignment
+// sequence is therefore identical to the unbounded scan's, and so are
+// sizes, centroids, WCSS and everything downstream.
+type bounds struct {
+	upper, lower []float64
+	// prev holds the centroids of the last assignment step (nil before
+	// the first); drift[c] bounds how far centroid c has moved since.
+	prev  [][]float64
+	drift []float64
+	slack float64
+}
+
+// assigner is one KMeansSeeded call's Lloyd assignment step.
+type assigner interface {
+	assignAndSum(data, centroids [][]float64, assign, sizes []int, force bool) bool
+}
+
+// newAssigner builds the assignment step for n points of d dims in k
+// clusters. It is a variable only so tests can run a reference scan in
+// lockstep with the bounded one.
+var newAssigner = func(n, k, d int) assigner { return newBounds(n, k, d) }
+
+func newBounds(n, k, d int) *bounds {
+	return &bounds{
+		upper: make([]float64, n),
+		lower: make([]float64, n),
+		drift: make([]float64, k),
+		// Rounding error of a d-term sum of squares is about (d+2)
+		// units of 2^-53; the slack is eight times that, floored for
+		// tiny d.
+		slack: float64(d+16) * 0x1p-50,
+	}
+}
+
+// up inflates a computed distance into a conservative upper bound.
+func (b *bounds) up(x float64) float64 { return x*(1+b.slack) + tinyBound }
+
+// down deflates a computed distance into a conservative lower bound.
+func (b *bounds) down(x float64) float64 { return max(x*(1-b.slack)-tinyBound, 0) }
+
+// finite reports whether x is neither NaN nor infinite.
+func finite(x float64) bool { return x-x == 0 }
+
+// proves reports whether upper bound u strictly proves a point's
+// assigned centroid is its unique nearest under lower bound l.
+func (b *bounds) proves(u, l float64) bool {
+	return u <= maxBound && l >= minBound && u*(1+b.slack) < l*(1-b.slack)
+}
+
 // assignAndSum performs the k-means assignment step, filling assign and
 // sizes, and reports whether any assignment changed (always true when
-// force is set). Deterministic regardless of parallelism: each point's
-// assignment is independent, and sizes are recounted from the final
-// assignment.
-func assignAndSum(data [][]float64, centroids [][]float64, assign []int, sizes []int, force bool) bool {
+// force is set). Points whose bounds prove their assignment are
+// skipped; every other point runs the full squared-distance scan with
+// the first-index tie rule. Deterministic regardless of parallelism:
+// each point's assignment and bounds are independent, and sizes are
+// recounted from the final assignment.
+func (b *bounds) assignAndSum(data [][]float64, centroids [][]float64, assign []int, sizes []int, force bool) bool {
 	n := len(data)
 	k := len(centroids)
 	d := 0
 	if n > 0 {
 		d = len(data[0])
 	}
+
+	// Move the bounds to the current centroids: upper grows by the
+	// assigned centroid's drift, lower shrinks by the largest drift of
+	// any other centroid. A non-finite drift invalidates every bound.
+	valid := b.prev != nil
+	m1, m2, m1c := 0.0, 0.0, -1
+	for c := 0; valid && c < k; c++ {
+		dr := math.Sqrt(linalg.SquaredDistance(b.prev[c], centroids[c]))
+		if !finite(dr) {
+			valid = false
+			break
+		}
+		dr = b.up(dr)
+		b.drift[c] = dr
+		switch {
+		case dr > m1:
+			m1, m2, m1c = dr, m1, c
+		case dr > m2:
+			m2 = dr
+		}
+	}
+	b.prev = centroids
+
 	assignRange := func(lo, hi int) bool {
 		changed := false
 		for i := lo; i < hi; i++ {
 			x := data[i]
-			best, bestD := 0, math.Inf(1)
-			for c := range centroids {
-				if dist := linalg.SquaredDistance(x, centroids[c]); dist < bestD {
-					best, bestD = c, dist
+			a := assign[i]
+			d2a := math.NaN()
+			if valid {
+				u := b.up(b.upper[i] + b.drift[a])
+				other := m1
+				if a == m1c {
+					other = m2
+				}
+				l := b.down(b.lower[i] - other)
+				b.upper[i], b.lower[i] = u, l
+				if b.proves(u, l) {
+					continue
+				}
+				// Tighten the upper bound to the exact distance and
+				// retry before paying for the full scan.
+				d2a = linalg.SquaredDistance(x, centroids[a])
+				if finite(d2a) {
+					b.upper[i] = b.up(math.Sqrt(d2a))
+					if b.proves(b.upper[i], l) {
+						continue
+					}
 				}
 			}
-			if assign[i] != best {
+
+			best, bestD := 0, math.Inf(1)
+			secondD := math.Inf(1)
+			ok := true
+			for c := range centroids {
+				var dist float64
+				if c == a && valid {
+					dist = d2a // the identical value the scan would compute
+				} else {
+					dist = linalg.SquaredDistance(x, centroids[c])
+				}
+				if !finite(dist) {
+					ok = false
+				}
+				if dist < bestD {
+					best, bestD, secondD = c, dist, bestD
+				} else if dist < secondD {
+					secondD = dist
+				}
+			}
+			if ok {
+				b.upper[i] = b.up(math.Sqrt(bestD))
+				b.lower[i] = b.down(math.Sqrt(secondD))
+			} else {
+				b.upper[i], b.lower[i] = math.Inf(1), 0
+			}
+			if a != best {
 				changed = true
 				assign[i] = best
 			}
@@ -196,30 +336,11 @@ func assignAndSum(data [][]float64, centroids [][]float64, assign []int, sizes [
 
 	var changed bool
 	if n*k*d >= parallelThreshold && n > 2*parallelChunk {
-		chunks := (n + parallelChunk - 1) / parallelChunk
-		results := make([]bool, chunks)
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		workers := runtime.GOMAXPROCS(0)
-		if workers > chunks {
-			workers = chunks
-		}
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					ci := int(next.Add(1)) - 1
-					if ci >= chunks {
-						return
-					}
-					lo := ci * parallelChunk
-					hi := min(lo+parallelChunk, n)
-					results[ci] = assignRange(lo, hi)
-				}
-			}()
-		}
-		wg.Wait()
+		results := make([]bool, (n+parallelChunk-1)/parallelChunk)
+		pool.Each(len(results), func(ci int) {
+			lo := ci * parallelChunk
+			results[ci] = assignRange(lo, min(lo+parallelChunk, n))
+		})
 		for _, r := range results {
 			changed = changed || r
 		}
@@ -255,32 +376,13 @@ func sumByCluster(data [][]float64, assign []int, k, d int) [][]float64 {
 		}
 	}
 	if n*d >= parallelThreshold/8 && n > 2*parallelChunk {
-		chunks := (n + parallelChunk - 1) / parallelChunk
-		partials := make([][]float64, chunks)
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		workers := runtime.GOMAXPROCS(0)
-		if workers > chunks {
-			workers = chunks
-		}
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					ci := int(next.Add(1)) - 1
-					if ci >= chunks {
-						return
-					}
-					part := make([]float64, k*d)
-					lo := ci * parallelChunk
-					hi := min(lo+parallelChunk, n)
-					sumRange(part, lo, hi)
-					partials[ci] = part
-				}
-			}()
-		}
-		wg.Wait()
+		partials := make([][]float64, (n+parallelChunk-1)/parallelChunk)
+		pool.Each(len(partials), func(ci int) {
+			part := make([]float64, k*d)
+			lo := ci * parallelChunk
+			sumRange(part, lo, min(lo+parallelChunk, n))
+			partials[ci] = part
+		})
 		// Merge in chunk order for bit-stable floating point.
 		flat := make([]float64, k*d)
 		for _, part := range partials {

@@ -27,6 +27,69 @@ func chaosClient(t *testing.T, cfg chaos.Config) *http.Client {
 	return &http.Client{Transport: tr, Timeout: 30 * time.Second}
 }
 
+// preferWorker routes every unit to the named worker whenever it is an
+// eligible candidate and round-robins over the rest otherwise.
+type preferWorker struct {
+	name string
+	rr   RoundRobin
+}
+
+func (p *preferWorker) Name() string { return "prefer " + p.name }
+
+func (p *preferWorker) Pick(key string, cands []Candidate) int {
+	for i, c := range cands {
+		if c.Name == p.name && !c.Draining {
+			return i
+		}
+	}
+	return p.rr.Pick(key, cands)
+}
+
+// lockedBuffer is an io.Writer safe for the coordinator's concurrent
+// log lines.
+type lockedBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *lockedBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+// failureLog returns a writer for the coordinator's log that is dumped
+// into the test output only if the test fails.
+func failureLog(t *testing.T) *lockedBuffer {
+	b := &lockedBuffer{}
+	t.Cleanup(func() {
+		if t.Failed() {
+			b.mu.Lock()
+			defer b.mu.Unlock()
+			t.Logf("coordinator log:\n%s", b.buf.String())
+		}
+	})
+	return b
+}
+
+// chaosClientExcept is chaosClient with one host's traffic sent
+// around the fault injector.
+func chaosClientExcept(t *testing.T, host string, cfg chaos.Config) *http.Client {
+	c := chaosClient(t, cfg)
+	faulty := c.Transport
+	c.Transport = roundTripFunc(func(r *http.Request) (*http.Response, error) {
+		if r.URL.Host == host {
+			return http.DefaultTransport.RoundTrip(r)
+		}
+		return faulty.RoundTrip(r)
+	})
+	return c
+}
+
+type roundTripFunc func(*http.Request) (*http.Response, error)
+
+func (f roundTripFunc) RoundTrip(r *http.Request) (*http.Response, error) { return f(r) }
+
 // runCanonicalCampaign submits the canonical cluster campaign through a
 // campaign service wired to coord and returns the raw result report.
 func runCanonicalCampaign(t *testing.T, coord *Coordinator) []byte {
@@ -49,25 +112,37 @@ func runCanonicalCampaign(t *testing.T, coord *Coordinator) []byte {
 }
 
 // TestChaosSoakByzantineKillRestart is the PR's capstone: a 4-worker
-// fleet — one byzantine, all behind the deterministic chaos transport —
-// runs the canonical campaign while every honest worker is killed
-// mid-campaign and restarted. The byzantine worker tampers with stats
-// and recomputes valid digests, so only the audit cross-check can catch
-// it. Required outcome: the byzantine worker quarantined, the killed
-// frames requeued, and the final report byte-identical to a clean
-// single-process run.
+// fleet — one byzantine, the three honest workers behind the
+// deterministic chaos transport — runs the canonical campaign while
+// every honest worker is killed mid-campaign and restarted. The
+// byzantine worker tampers with stats and recomputes valid digests, so
+// only the audit cross-check can catch it. Required outcome: the
+// byzantine worker quarantined, the killed frames requeued, and the
+// final report byte-identical to a clean single-process run.
 //
-// Choreography (deterministic by construction, not by timing):
-//   - every frame is audited (AuditFraction 1), so the byzantine worker
-//     is caught the first time one of its results reaches a digest
-//     comparison with an arbiter available;
+// Choreography (deterministic by routing, not by timing):
+//   - the byzantine worker is every dispatch's first choice and its
+//     link is clean, so it is always live and answers every frame it is
+//     offered, and every frame is audited (AuditFraction 1). Every
+//     frame's first two results therefore include a tampered one: no
+//     frame can complete until an arbiter's vote quarantines the
+//     byzantine worker, and the first frame to complete does exactly
+//     that. Chaos still hits every honest exchange — audits, arbiters,
+//     heartbeats — so a dispute may need several requeues to resolve.
+//     (Behind chaos and round-robin, the byzantine worker could be kept
+//     down or unheard for the whole 7-frame campaign and never caught,
+//     or caught only on its last frame with nothing left to kill.);
 //   - the first honest frame request to arrive AFTER the quarantine
 //     kills all three honest workers at once, including the serving
 //     one (hijack-close mid-request) — so the in-flight frame requeues
-//     through resilience.WorkerLost, guaranteed;
+//     through resilience.WorkerLost, guaranteed. Responses still in
+//     flight on the other honest workers die with them (see killable).
+//     The campaign has more frames than dispatch slots, so frames are
+//     always left to dispatch after the quarantine;
 //   - 300ms later the honest workers revive and the heartbeat loop
 //     resurrects them; the campaign finishes on the restarted fleet.
 func TestChaosSoakByzantineKillRestart(t *testing.T) {
+	log := failureLog(t)
 	byz := NewWorker(WorkerConfig{})
 	honest := make([]*Worker, 3)
 	switches := make([]*killSwitch, 3)
@@ -91,13 +166,8 @@ func TestChaosSoakByzantineKillRestart(t *testing.T) {
 					if fired {
 						// This very request is the mid-campaign kill: die
 						// raw, mid-exchange, like the rest of the fleet.
-						if hj, ok := w.(http.Hijacker); ok {
-							if conn, _, err := hj.Hijack(); err == nil {
-								conn.Close()
-								return
-							}
-						}
-						panic(http.ErrAbortHandler)
+						dropConnection(w)
+						return
 					}
 				}
 			}
@@ -125,8 +195,8 @@ func TestChaosSoakByzantineKillRestart(t *testing.T) {
 
 	coord, err := NewCoordinator(CoordinatorConfig{
 		Workers: urls,
-		Policy:  NewRoundRobin(), // seats the byzantine worker constantly
-		Client: chaosClient(t, chaos.Config{
+		Policy:  &preferWorker{name: urls[0]}, // every dispatch tries the byzantine worker first
+		Client: chaosClientExcept(t, bts.Listener.Addr().String(), chaos.Config{
 			Seed:            20260809,
 			DropRate:        0.08,
 			DelayRate:       0.25,
@@ -144,6 +214,7 @@ func TestChaosSoakByzantineKillRestart(t *testing.T) {
 		AuditSeed:          7,
 		HedgeAfter:         50 * time.Millisecond,
 		DigestFailureLimit: 1 << 20, // wire corruption is injected on purpose; only audits quarantine here
+		Log:                log,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -171,9 +171,21 @@ func waitTerminal(t *testing.T, ts *httptest.Server, id string) serve.JobStatus 
 // --- killable workers ---
 
 // killSwitch turns a worker's transport off deterministically: once
-// armed (after killAfter served frames), every connection is hijacked
-// and closed raw — a genuine mid-request transport error, exactly what
-// a dying worker process looks like to the coordinator.
+// armed (after killAfter served frames, or killed from outside), every
+// connection is hijacked and closed raw — a genuine mid-request
+// transport error, exactly what a dying worker process looks like to
+// the coordinator.
+//
+// Both decisions are made atomically, never check-then-act:
+//   - a frame request reserves its serving slot on admission
+//     (served.Add), so concurrent in-flight requests cannot all slip
+//     past the budget before any of them is counted — at most killAfter
+//     frames are ever served, whatever the dispatch concurrency;
+//   - a response is buffered and delivered only if the switch is still
+//     live when the handler finishes, so a request in flight when the
+//     worker is killed from outside dies with it instead of answering
+//     from beyond the grave. Slots reserved under the killAfter budget
+//     were admitted before the kill and always deliver.
 type killSwitch struct {
 	killAfter int64
 	served    atomic.Int64
@@ -182,20 +194,42 @@ type killSwitch struct {
 
 func killable(h http.Handler, ks *killSwitch) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if ks.killed.Load() {
-			if hj, ok := w.(http.Hijacker); ok {
-				if conn, _, err := hj.Hijack(); err == nil {
-					conn.Close()
-					return
-				}
+		var slot int64
+		if r.URL.Path == "/fabric/v1/frames" && ks.killAfter > 0 && !ks.killed.Load() {
+			if slot = ks.served.Add(1); slot > ks.killAfter {
+				ks.killed.Store(true)
 			}
-			panic(http.ErrAbortHandler)
 		}
-		h.ServeHTTP(w, r)
-		if r.URL.Path == "/fabric/v1/frames" && ks.killAfter > 0 && ks.served.Add(1) >= ks.killAfter {
+		if ks.killed.Load() {
+			dropConnection(w)
+			return
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, r)
+		if slot == 0 && ks.killed.Load() {
+			dropConnection(w)
+			return
+		}
+		for k, v := range rec.Header() {
+			w.Header()[k] = v
+		}
+		w.WriteHeader(rec.Code)
+		w.Write(rec.Body.Bytes())
+		if slot > 0 && slot == ks.killAfter {
 			ks.killed.Store(true)
 		}
 	})
+}
+
+// dropConnection closes the client's connection without a response.
+func dropConnection(w http.ResponseWriter) {
+	if hj, ok := w.(http.Hijacker); ok {
+		if conn, _, err := hj.Hijack(); err == nil {
+			conn.Close()
+			return
+		}
+	}
+	panic(http.ErrAbortHandler)
 }
 
 // startFleet brings up n workers behind kill switches and returns their

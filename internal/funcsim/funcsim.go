@@ -13,11 +13,13 @@
 package funcsim
 
 import (
+	"context"
 	"fmt"
 	"math"
 
 	"repro/internal/gltrace"
 	"repro/internal/obs"
+	"repro/internal/pool"
 	"repro/internal/shader"
 )
 
@@ -78,30 +80,43 @@ func Run(trace *gltrace.Trace) (*Result, error) { return RunObs(trace, nil) }
 // ".fragments") and a per-frame fragment-count histogram
 // ("funcsim.frame_fragments"). A nil registry makes RunObs identical to
 // Run.
+//
+// Frames are characterized in parallel on GOMAXPROCS workers, each
+// claiming frame indexes and profiling them with its own Streamer
+// clone straight into res.Profiles[f]. Every frame starts from cleared
+// depth and binding state, so a profile does not depend on which worker
+// produced it or in what order; the obs counters are recorded after the
+// join, in frame order, so the registry does not either.
 func RunObs(trace *gltrace.Trace, reg *obs.Registry) (*Result, error) {
 	st, err := NewStreamer(trace)
 	if err != nil {
 		return nil, err
 	}
+	res := &Result{Trace: trace.Name}
+	res.VSStatic, res.FSStatic = st.Static()
+	res.Profiles = make([]FrameProfile, trace.NumFrames())
+	_, err = pool.Run(context.TODO(), 0, len(res.Profiles), func(w int) (func(int), error) {
+		ws := st
+		if w > 0 {
+			ws = st.clone()
+		}
+		return func(f int) { ws.profileInto(&res.Profiles[f], &trace.Frames[f], f) }, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+
 	var (
 		cFrames    = reg.Counter("funcsim.frames")
 		cDraws     = reg.Counter("funcsim.draws")
 		cFragments = reg.Counter("funcsim.fragments")
 		hFragments = reg.Histogram("funcsim.frame_fragments")
 	)
-	res := &Result{Trace: trace.Name}
-	res.VSStatic, res.FSStatic = st.Static()
-
-	res.Profiles = make([]FrameProfile, trace.NumFrames())
-	for f := range trace.Frames {
-		prof := &res.Profiles[f]
-		if err := st.ProfileAt(prof, f); err != nil {
-			return nil, err
-		}
+	for f := range res.Profiles {
 		cDraws.Add(uint64(trace.Frames[f].DrawCount()))
 		cFrames.Inc()
-		cFragments.Add(prof.Fragments)
-		hFragments.Observe(prof.Fragments)
+		cFragments.Add(res.Profiles[f].Fragments)
+		hFragments.Observe(res.Profiles[f].Fragments)
 	}
 	return res, nil
 }

@@ -2,6 +2,7 @@ package funcsim
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/geom"
 	"repro/internal/gltrace"
@@ -11,21 +12,30 @@ import (
 
 // Streamer characterizes frames one at a time — the incremental twin of
 // Run. It owns the reusable rasterization scratch (depth buffer,
-// triangle buffer), so profiling a frame allocates nothing beyond the
-// profile's count vectors, and frames are characterized independently:
-// the depth buffer is cleared and all binding state reset at every
-// frame start, exactly as Run does, so ProfileInto(f) is a pure
-// function of frame f's commands and the trace resources.
+// triangle buffer, per-draw transform buffer and quad batch), so
+// re-profiling a frame into a profile whose count vectors are already
+// sized allocates nothing. Frames are characterized independently: the
+// depth buffer is cleared and all binding state reset at every frame
+// start, so ProfileInto(f) is a pure function of frame f's commands and
+// the trace resources. That independence is what lets Run fan frames
+// out over workers, one Streamer clone each.
 //
 // This is what lets the streaming sampler (internal/stream) consume an
 // unbounded frame sequence with O(1) characterization state instead of
-// materializing a whole funcsim.Result.
+// materializing a whole funcsim.Result. A Streamer is not safe for
+// concurrent use; concurrent callers each take a clone.
 type Streamer struct {
 	res    resources
 	trace  *gltrace.Trace // nil in resource mode
 	depth  *raster.DepthBuffer
 	clip   geom.AABB2
 	triBuf []raster.ScreenTriangle
+	draw   raster.DrawScratch
+	batch  raster.QuadBatch
+	// sampler and the exec results are per-draw shader execution
+	// scratch, fields so executing a draw's programs does not allocate.
+	sampler      proceduralSampler
+	vsOut, fsOut shader.ExecResult
 
 	vsStatic []shader.Cost
 	fsStatic []shader.Cost
@@ -94,6 +104,21 @@ func newStreamer(res resources, tr *gltrace.Trace) (*Streamer, error) {
 		s.fsStatic = append(s.fsStatic, p.StaticCost())
 	}
 	return s, nil
+}
+
+// clone returns a streamer over the same resources, trace and static
+// costs with its own rasterization scratch, for a concurrent worker.
+// The resources were validated when s was built, so nothing is
+// re-validated.
+func (s *Streamer) clone() *Streamer {
+	return &Streamer{
+		res:      s.res,
+		trace:    s.trace,
+		depth:    raster.NewDepthBuffer(s.res.viewport.Width, s.res.viewport.Height),
+		clip:     s.clip,
+		vsStatic: s.vsStatic,
+		fsStatic: s.fsStatic,
+	}
 }
 
 // Static returns the per-program static costs (instruction counts and
@@ -168,39 +193,37 @@ func (s *Streamer) profileInto(dst *FrameProfile, frame *gltrace.Frame, index in
 			// with draw-derived inputs; lock-step warps make all
 			// invocations of a draw structurally identical, so one
 			// execution yields the per-draw functional digest.
-			vsOut := s.res.vs[curVS].Exec(shader.Regs{
+			s.res.vs[curVS].ExecInto(&s.vsOut, shader.Regs{
 				cmd.MVP[3], cmd.MVP[7], cmd.MVP[11], cmd.DepthBias,
 			}, nil)
-			fsOut := s.res.fs[curFS].Exec(shader.Regs{
+			s.sampler.tex = curTex
+			s.res.fs[curFS].ExecInto(&s.fsOut, shader.Regs{
 				cmd.MVP[3], cmd.MVP[7], 0.5, 0.5,
-			}, proceduralSampler{tex: curTex})
-			dst.Checksum = mixChecksum(dst.Checksum, vsOut.Regs, fsOut.Regs)
+			}, &s.sampler)
+			dst.Checksum = mixChecksum(dst.Checksum, s.vsOut.Regs, s.fsOut.Regs)
 
-			s.triBuf = s.triBuf[:0]
-			tris, gstats := raster.ProcessDraw(mesh, cmd.MVP, s.res.viewport, cmd.DepthBias, s.triBuf)
+			tris, gstats := raster.ProcessDrawScratch(mesh, cmd.MVP, s.res.viewport, cmd.DepthBias, s.triBuf[:0], &s.draw)
 			s.triBuf = tris
 			dst.PrimsIn += uint64(gstats.PrimsIn)
 			dst.PrimsVisible += uint64(gstats.Visible)
 
-			blend := cmd.Blend
+			b := &s.batch
 			for t := range tris {
-				raster.RasterizeQuads(&tris[t], s.clip, func(q *raster.Quad) {
+				b.Reset()
+				b.AppendQuads(&tris[t], s.clip)
+				for qi, n := 0, b.Len(); qi < n; qi++ {
 					var surviving uint8
-					if blend {
+					if cmd.Blend {
 						// Transparent fragments are depth-tested but
 						// never write depth.
-						surviving = s.depth.TestQuadReadOnly(q)
+						surviving = s.depth.TestMaskReadOnly(int(b.X[qi]), int(b.Y[qi]), b.Depth[qi*4:qi*4+4], b.Mask[qi])
 					} else {
-						surviving = s.depth.TestQuad(q)
+						surviving = s.depth.TestMask(int(b.X[qi]), int(b.Y[qi]), b.Depth[qi*4:qi*4+4], b.Mask[qi])
 					}
-					if surviving == 0 {
-						return
-					}
-					q.Mask = surviving
-					n := uint64(q.Coverage())
-					dst.FSCount[curFS] += n
-					dst.Fragments += n
-				})
+					alive := uint64(bits.OnesCount8(surviving))
+					dst.FSCount[curFS] += alive
+					dst.Fragments += alive
+				}
 			}
 		}
 	}

@@ -48,12 +48,24 @@ type ExecResult struct {
 //
 // A nil sampler behaves as ConstSampler(0).
 func (p *Program) Exec(in Regs, sampler Sampler) ExecResult {
-	if sampler == nil {
-		sampler = ConstSampler(0)
-	}
-	res := ExecResult{Regs: in}
-	execBlock(p.Code, &res, sampler, 0)
+	var res ExecResult
+	p.ExecInto(&res, in, sampler)
 	return res
+}
+
+// zeroSampler is ConstSampler(0), built once so a nil sampler costs no
+// allocation per execution.
+var zeroSampler = ConstSampler(0)
+
+// ExecInto is Exec writing into dst, reusing dst.Tex's backing array,
+// so a caller executing many programs performs no per-execution
+// allocation.
+func (p *Program) ExecInto(dst *ExecResult, in Regs, sampler Sampler) {
+	if sampler == nil {
+		sampler = zeroSampler
+	}
+	*dst = ExecResult{Regs: in, Tex: dst.Tex[:0]}
+	execBlock(p.Code, dst, sampler, 0)
 }
 
 // maxExecInstrs bounds runaway programs (defence in depth; Validate

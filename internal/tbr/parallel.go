@@ -3,12 +3,11 @@ package tbr
 import (
 	"context"
 	"fmt"
-	"runtime"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/gltrace"
 	"repro/internal/obs"
+	"repro/internal/pool"
 )
 
 // testWorkerHook, when non-nil, is called by pool workers before each
@@ -27,86 +26,22 @@ func setTestWorkerHook(h func(item int)) {
 	testWorkerHook.Store(&h)
 }
 
-// claimPool is the work-distribution core shared by the frame-parallel
-// driver and the tile-parallel raster stage: `workers` goroutines claim
-// items from [0, n) off an atomic counter and run the per-worker fn
-// built by setup(w). A failed worker (setup error, or a panic out of fn
-// converted to an error) raises an abort flag every worker checks in
-// its claim loop, so the pool stops promptly instead of draining the
-// remaining items; cancelling ctx raises the same flag (with ctx.Err()
-// as the pool error), so cancellation is honored at the next claim —
-// never mid-item. The returned failed slice marks which workers did not
-// finish cleanly — their side effects (e.g. a local obs registry) may
-// be torn mid-item and must not be merged. A worker stopped by
-// cancellation is NOT marked failed: it completed its last item before
-// observing the flag.
-//
-// workers <= 0 defaults to GOMAXPROCS (clamped to n); n <= 0 runs
-// nothing and returns only ctx's current error, so degenerate pools
-// cannot spin up goroutines or index out of range.
+// claimPool runs the shared claim loop (pool.Run) with the test worker
+// hook spliced in front of every claimed item, so tests can inject
+// failures into the frame and tile pools alike.
 func claimPool(ctx context.Context, workers, n int, setup func(w int) (fn func(i int), err error)) (failed []bool, firstErr error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	if n <= 0 {
-		return nil, ctx.Err()
-	}
-	failed = make([]bool, workers)
-	var (
-		next    atomic.Int64
-		abort   atomic.Bool
-		errOnce sync.Once
-		wg      sync.WaitGroup
-	)
-	done := ctx.Done()
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			fail := func(err error) {
-				failed[w] = true
-				errOnce.Do(func() { firstErr = err })
-				abort.Store(true)
+	return pool.Run(ctx, workers, n, func(w int) (func(i int), error) {
+		fn, err := setup(w)
+		if err != nil {
+			return nil, err
+		}
+		return func(i int) {
+			if h := testWorkerHook.Load(); h != nil {
+				(*h)(i)
 			}
-			defer func() {
-				if r := recover(); r != nil {
-					fail(fmt.Errorf("tbr: worker %d: %v", w, r))
-				}
-			}()
-			fn, err := setup(w)
-			if err != nil {
-				fail(err)
-				return
-			}
-			for !abort.Load() {
-				if done != nil {
-					select {
-					case <-done:
-						// Cancellation is clean: no item is torn, so the
-						// worker is not marked failed, but the pool must
-						// report why it stopped short.
-						errOnce.Do(func() { firstErr = ctx.Err() })
-						abort.Store(true)
-						return
-					default:
-					}
-				}
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				if h := testWorkerHook.Load(); h != nil {
-					(*h)(i)
-				}
-				fn(i)
-			}
-		}(w)
-	}
-	wg.Wait()
-	return failed, firstErr
+			fn(i)
+		}, nil
+	})
 }
 
 // runPool runs fn(sim, i) for every i in [0, n) across `workers`
@@ -123,13 +58,7 @@ func claimPool(ctx context.Context, workers, n int, setup func(w int) (fn func(i
 // so failed workers' registries are dropped.
 func runPool(ctx context.Context, cfg Config, trace *gltrace.Trace, workers, n int, fn func(sim *Simulator, i int)) error {
 	parent := cfg.Obs
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	locals := make([]*obs.Registry, workers)
+	locals := make([]*obs.Registry, pool.Workers(workers, n))
 	failed, firstErr := claimPool(ctx, workers, n, func(w int) (func(i int), error) {
 		wcfg := cfg
 		if parent.Enabled() {
@@ -172,12 +101,7 @@ func SimulateFramesParallelCtx(ctx context.Context, cfg Config, trace *gltrace.T
 			return nil, fmt.Errorf("tbr: frame %d out of range [0,%d)", f, trace.NumFrames())
 		}
 	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(frames) {
-		workers = len(frames)
-	}
+	workers = pool.Workers(workers, len(frames))
 	if len(frames) == 0 {
 		return nil, ctx.Err()
 	}
@@ -225,13 +149,8 @@ func SimulateAllParallelCtx(ctx context.Context, cfg Config, trace *gltrace.Trac
 	if !cfg.FlushCachesPerFrame {
 		return nil, fmt.Errorf("tbr: parallel simulation requires FlushCachesPerFrame (frame isolation)")
 	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	n := trace.NumFrames()
-	if workers > n {
-		workers = n
-	}
+	workers = pool.Workers(workers, n)
 	if n == 0 {
 		return nil, ctx.Err()
 	}

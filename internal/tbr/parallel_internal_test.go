@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -109,100 +108,6 @@ func TestParallelFirstErrorWins(t *testing.T) {
 	}
 	if out != nil {
 		t.Fatalf("got partial results alongside the error: %d frames", len(out))
-	}
-}
-
-// TestClaimPoolSimultaneousFailures releases every worker into a panic
-// at the same instant and checks the pool reports exactly one coherent
-// first error while marking every worker failed — the contract the obs
-// merge (skip failed workers) and runPool's all-or-nothing result
-// depend on.
-func TestClaimPoolSimultaneousFailures(t *testing.T) {
-	const workers = 8
-	var (
-		ready sync.WaitGroup
-		gate  = make(chan struct{})
-	)
-	ready.Add(workers)
-	// Close the gate once every worker holds an item. claimPool blocks
-	// until the join, so the release must already be running.
-	go func() {
-		ready.Wait()
-		close(gate)
-	}()
-	failed, err := claimPool(context.Background(), workers, workers*4, func(w int) (func(i int), error) {
-		return func(i int) {
-			ready.Done()
-			<-gate // all workers panic together
-			panic("simultaneous failure")
-		}, nil
-	})
-	if err == nil {
-		t.Fatal("pool swallowed the simultaneous failures")
-	}
-	if !strings.Contains(err.Error(), "simultaneous failure") {
-		t.Fatalf("first error lost the cause: %v", err)
-	}
-	for w, f := range failed {
-		if !f {
-			t.Errorf("worker %d not marked failed", w)
-		}
-	}
-}
-
-// TestClaimPoolDegenerateInputs: workers <= 0 must default rather than
-// spin up nothing, and n <= 0 must run nothing without spawning
-// goroutines or touching setup.
-func TestClaimPoolDegenerateInputs(t *testing.T) {
-	for _, n := range []int{0, -3} {
-		failed, err := claimPool(context.Background(), 4, n, func(w int) (func(i int), error) {
-			t.Fatalf("setup called for n=%d", n)
-			return nil, nil
-		})
-		if err != nil || failed != nil {
-			t.Fatalf("n=%d: got failed=%v err=%v, want empty run", n, failed, err)
-		}
-	}
-
-	var ran atomic.Int64
-	failed, err := claimPool(context.Background(), 0, 5, func(w int) (func(i int), error) {
-		return func(i int) { ran.Add(1) }, nil
-	})
-	if err != nil {
-		t.Fatalf("workers=0: %v", err)
-	}
-	if got := ran.Load(); got != 5 {
-		t.Fatalf("workers=0 ran %d/5 items", got)
-	}
-	if len(failed) == 0 {
-		t.Fatal("workers=0 reported no worker slots")
-	}
-}
-
-// TestClaimPoolContextCancellation: cancelling the context mid-run must
-// stop the pool at the next claim, surface ctx's error, and NOT mark
-// the cancelled workers failed (their last item completed cleanly).
-func TestClaimPoolContextCancellation(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	var done atomic.Int64
-	const n = 1 << 20 // far more items than can drain before the cancel
-	failed, err := claimPool(ctx, 4, n, func(w int) (func(i int), error) {
-		return func(i int) {
-			if done.Add(1) == 8 {
-				cancel()
-			}
-		}, nil
-	})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if got := done.Load(); got >= n {
-		t.Fatalf("pool drained all %d items despite cancellation", n)
-	}
-	for w, f := range failed {
-		if f {
-			t.Errorf("cancelled worker %d marked failed", w)
-		}
 	}
 }
 
