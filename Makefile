@@ -1,7 +1,7 @@
 # Developer entry points. `make ci` is the full gate the CI workflow
 # runs: vet, build, race-enabled tests, the tile-parallel determinism
-# goldens, the differential validation oracle, the internal/check
-# coverage floor, a one-iteration bench smoke and short fuzz smokes of
+# goldens, the differential validation oracle, the coverage floors, a
+# one-iteration bench smoke and short fuzz smokes of
 # every fuzz target.
 
 GO ?= go
@@ -11,34 +11,19 @@ GO ?= go
 BENCHTIME ?= 100ms
 BENCHCOUNT ?= 5
 
-# Minimum statement coverage for the validation subsystem itself — the
-# checker that gates everything else must not rot unexercised.
-CHECK_COVER_FLOOR ?= 85
+# Minimum statement coverage, as package:floor pairs over internal/:
+# the validation subsystem (the checker that gates everything else must
+# not rot unexercised), the run supervisor (byte-identical resume), the
+# campaign service (cache identity, backpressure, drain), the campaign
+# fabric (failover, byte identity of cluster mode), the streaming first
+# phase (the bounded-memory stratifier) and the chaos transport (the
+# fault injector that certifies the fabric's trust layer).
+COVER_FLOORS ?= check:85 resilience:85 serve:85 fabric:85 stream:85 chaos:85
+COVER_PACKAGES := $(foreach pf,$(COVER_FLOORS),$(firstword $(subst :, ,$(pf))))
 
-# Minimum statement coverage for the run supervisor — the machinery
-# that promises byte-identical resume must stay exercised.
-RESILIENCE_COVER_FLOOR ?= 85
+.PHONY: ci vet build test race determinism resilience serve fabric stream chaos validate cover-check $(addprefix cover-check-,$(COVER_PACKAGES)) bench bench-tbr bench-cluster bench-check bench-smoke tile-bench-smoke fuzz-smoke
 
-# Minimum statement coverage for the campaign service — the cache
-# identity, backpressure and drain guarantees live or die in tests.
-SERVE_COVER_FLOOR ?= 85
-
-# Minimum statement coverage for the distributed campaign fabric — the
-# failover and byte-identity guarantees of cluster mode.
-FABRIC_COVER_FLOOR ?= 85
-
-# Minimum statement coverage for the streaming first phase — the
-# bounded-memory stratifier behind unbounded-stream campaigns.
-STREAM_COVER_FLOOR ?= 85
-
-# Minimum statement coverage for the chaos transport — the fault
-# injector that certifies the fabric's trust layer must itself be
-# certified.
-CHAOS_COVER_FLOOR ?= 85
-
-.PHONY: ci vet build test race determinism resilience serve fabric stream chaos validate cover-check resilience-cover-check serve-cover-check fabric-cover-check stream-cover-check chaos-cover-check bench bench-tbr bench-cluster bench-check bench-smoke tile-bench-smoke fuzz-smoke
-
-ci: vet build race determinism resilience serve fabric stream chaos validate cover-check resilience-cover-check serve-cover-check fabric-cover-check stream-cover-check chaos-cover-check bench-check bench-smoke tile-bench-smoke fuzz-smoke
+ci: vet build race determinism resilience serve fabric stream chaos validate cover-check bench-check bench-smoke tile-bench-smoke fuzz-smoke
 
 vet:
 	$(GO) vet ./...
@@ -57,14 +42,18 @@ race:
 # composition of both axes) must produce byte-identical stats and obs
 # snapshots, race-detector clean. Core count is a test axis too: the
 # -cpu 1,2,4 runs repeat the frame-parallel characterization, the
-# chunk-parallel k-means and selection, the tbr goldens, and the fabric
-# kill-worker and chaos-soak contracts at each GOMAXPROCS, so no
-# outcome can hide a dependence on the host's core count.
+# chunk-parallel k-means and selection, the tbr goldens, the fabric
+# kill-worker and chaos-soak contracts, and the resilience, serve and
+# stream gates (the selections of those targets) at each GOMAXPROCS, so
+# no outcome can hide a dependence on the host's core count.
 determinism:
 	$(GO) test -race -count=1 -run '^TestGoldenDeterminism' ./internal/tbr
 	$(GO) test -race -count=1 -cpu 1,2,4 ./internal/funcsim ./internal/cluster ./internal/core
 	$(GO) test -race -count=1 -cpu 1,2,4 -run '^TestGoldenDeterminism' ./internal/tbr
 	$(GO) test -race -count=1 -cpu 1,2,4 -run '^TestClusterKillWorkerMidCampaign$$|^TestChaosSoakByzantineKillRestart$$' ./internal/fabric
+	$(GO) test -race -count=1 -cpu 1,2,4 -run '^TestGoldenKillAndResume$$|^TestDegradedAccuracyWithinWidenedBands$$' ./internal/resilience
+	$(GO) test -race -count=1 -cpu 1,2,4 ./internal/serve ./internal/stream ./cmd/megsimd
+	$(GO) test -race -count=1 -cpu 1,2,4 -run '^TestServerMode|^TestSampleStreaming|^TestStream' ./megsim ./cmd/megsim
 
 # Explicit gate on the resilience guarantees: the kill-and-resume
 # golden (byte-identical stats, obs snapshots and checkpoint bytes
@@ -130,47 +119,18 @@ stream:
 validate:
 	$(GO) run -race ./cmd/experiments validate -seeds 1,2,3 -out results/validate.json
 
-# Coverage floor for the validation subsystem.
-cover-check:
-	@cov=$$($(GO) test -cover ./internal/check | sed -n 's/.*coverage: \([0-9.]*\)% of statements.*/\1/p'); \
-	if [ -z "$$cov" ]; then echo "cover-check: no coverage reported for internal/check"; exit 1; fi; \
-	echo "internal/check coverage: $$cov% (floor $(CHECK_COVER_FLOOR)%)"; \
-	awk "BEGIN{exit !($$cov >= $(CHECK_COVER_FLOOR))}" || { echo "cover-check: coverage $$cov% below $(CHECK_COVER_FLOOR)% floor"; exit 1; }
+# Coverage floors: cover-check runs cover-check-<pkg> for every
+# package in COVER_FLOORS; each fails when ./internal/<pkg> statement
+# coverage is below its floor.
+cover-check: $(addprefix cover-check-,$(COVER_PACKAGES))
 
-# Coverage floor for the run supervisor.
-resilience-cover-check:
-	@cov=$$($(GO) test -cover ./internal/resilience | sed -n 's/.*coverage: \([0-9.]*\)% of statements.*/\1/p'); \
-	if [ -z "$$cov" ]; then echo "resilience-cover-check: no coverage reported for internal/resilience"; exit 1; fi; \
-	echo "internal/resilience coverage: $$cov% (floor $(RESILIENCE_COVER_FLOOR)%)"; \
-	awk "BEGIN{exit !($$cov >= $(RESILIENCE_COVER_FLOOR))}" || { echo "resilience-cover-check: coverage $$cov% below $(RESILIENCE_COVER_FLOOR)% floor"; exit 1; }
-
-# Coverage floor for the campaign service.
-serve-cover-check:
-	@cov=$$($(GO) test -cover ./internal/serve | sed -n 's/.*coverage: \([0-9.]*\)% of statements.*/\1/p'); \
-	if [ -z "$$cov" ]; then echo "serve-cover-check: no coverage reported for internal/serve"; exit 1; fi; \
-	echo "internal/serve coverage: $$cov% (floor $(SERVE_COVER_FLOOR)%)"; \
-	awk "BEGIN{exit !($$cov >= $(SERVE_COVER_FLOOR))}" || { echo "serve-cover-check: coverage $$cov% below $(SERVE_COVER_FLOOR)% floor"; exit 1; }
-
-# Coverage floor for the campaign fabric.
-fabric-cover-check:
-	@cov=$$($(GO) test -cover ./internal/fabric | sed -n 's/.*coverage: \([0-9.]*\)% of statements.*/\1/p'); \
-	if [ -z "$$cov" ]; then echo "fabric-cover-check: no coverage reported for internal/fabric"; exit 1; fi; \
-	echo "internal/fabric coverage: $$cov% (floor $(FABRIC_COVER_FLOOR)%)"; \
-	awk "BEGIN{exit !($$cov >= $(FABRIC_COVER_FLOOR))}" || { echo "fabric-cover-check: coverage $$cov% below $(FABRIC_COVER_FLOOR)% floor"; exit 1; }
-
-# Coverage floor for the streaming first phase.
-stream-cover-check:
-	@cov=$$($(GO) test -cover ./internal/stream | sed -n 's/.*coverage: \([0-9.]*\)% of statements.*/\1/p'); \
-	if [ -z "$$cov" ]; then echo "stream-cover-check: no coverage reported for internal/stream"; exit 1; fi; \
-	echo "internal/stream coverage: $$cov% (floor $(STREAM_COVER_FLOOR)%)"; \
-	awk "BEGIN{exit !($$cov >= $(STREAM_COVER_FLOOR))}" || { echo "stream-cover-check: coverage $$cov% below $(STREAM_COVER_FLOOR)% floor"; exit 1; }
-
-# Coverage floor for the chaos transport.
-chaos-cover-check:
-	@cov=$$($(GO) test -cover ./internal/chaos | sed -n 's/.*coverage: \([0-9.]*\)% of statements.*/\1/p'); \
-	if [ -z "$$cov" ]; then echo "chaos-cover-check: no coverage reported for internal/chaos"; exit 1; fi; \
-	echo "internal/chaos coverage: $$cov% (floor $(CHAOS_COVER_FLOOR)%)"; \
-	awk "BEGIN{exit !($$cov >= $(CHAOS_COVER_FLOOR))}" || { echo "chaos-cover-check: coverage $$cov% below $(CHAOS_COVER_FLOOR)% floor"; exit 1; }
+$(addprefix cover-check-,$(COVER_PACKAGES)): cover-check-%:
+	@floor=$(patsubst $*:%,%,$(filter $*:%,$(COVER_FLOORS))); \
+	if [ -z "$$floor" ]; then echo "cover-check: no floor for $* in COVER_FLOORS"; exit 1; fi; \
+	cov=$$($(GO) test -cover ./internal/$* | sed -n 's/.*coverage: \([0-9.]*\)% of statements.*/\1/p'); \
+	if [ -z "$$cov" ]; then echo "cover-check: no coverage reported for internal/$*"; exit 1; fi; \
+	echo "internal/$* coverage: $$cov% (floor $$floor%)"; \
+	awk "BEGIN{exit !($$cov >= $$floor)}" || { echo "cover-check: internal/$* coverage $$cov% below $$floor% floor"; exit 1; }
 
 # Benchmark baselines: run the tbr and cluster suites, keep the raw
 # benchstat-format text, and convert to JSON with cmd/benchjson. The

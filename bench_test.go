@@ -85,7 +85,7 @@ func BenchmarkTableII_Characterize(b *testing.B) {
 			var res *funcsim.Result
 			for i := 0; i < b.N; i++ {
 				var err error
-				res, err = funcsim.Run(tr)
+				res, err = funcsim.RunObs(tr, nil)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -218,7 +218,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	}
 
 	start := time.Now()
-	rrun, err := megsim.SampleResilient(ctx, tr, cfg, gpu, rcfg)
+	rrun, err := megsim.Sample(ctx, tr, cfg, gpu, rcfg)
 	if err != nil {
 		if *checkpoint != "" {
 			return fmt.Errorf("%w (progress checkpointed to %s; rerun with -resume)", err, *checkpoint)
@@ -324,13 +324,7 @@ func validateEstimate(ctx context.Context, tr *megsim.Trace, est *megsim.FrameSt
 	inv := check.NewInvariants(gpu)
 	gpu.Check = inv
 	start := time.Now()
-	var full []megsim.FrameStats
-	var err error
-	if gpu.FlushCachesPerFrame {
-		full, err = megsim.SimulateFullParallelCtx(ctx, tr, gpu, 0)
-	} else {
-		full, err = megsim.SimulateFull(tr, gpu)
-	}
+	full, err := megsim.SimulateFull(ctx, tr, gpu)
 	if err != nil {
 		return nil, err
 	}

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -15,6 +16,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	shmup := workload.Profile{
 		Alias:  "shmup",
 		Title:  "Neon Swarm (custom)",
@@ -55,7 +57,7 @@ func main() {
 	fmt.Printf("custom workload %q: %d frames, %d draw commands in frame 900\n",
 		trace.Name, trace.NumFrames(), trace.Frames[900].DrawCount())
 
-	run, err := megsim.Sample(trace, megsim.DefaultConfig(), megsim.DefaultGPUConfig())
+	run, err := megsim.Sample(ctx, trace, megsim.DefaultConfig(), megsim.DefaultGPUConfig(), megsim.ResilienceConfig{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -64,7 +66,7 @@ func main() {
 
 	// Sanity-check the estimate against the ground truth (cheap here:
 	// the custom sequence is short).
-	full, err := megsim.SimulateFull(trace, megsim.DefaultGPUConfig())
+	full, err := megsim.SimulateFull(ctx, trace, megsim.DefaultGPUConfig())
 	if err != nil {
 		log.Fatal(err)
 	}

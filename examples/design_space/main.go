@@ -13,6 +13,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -21,6 +22,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	trace := megsim.MustGenerateBenchmark("jjo", megsim.DefaultScale())
 
 	// Select representatives ONCE (architecture-independent).
@@ -69,7 +71,7 @@ func main() {
 	gpu := megsim.DefaultGPUConfig()
 	gpu.L2.SizeBytes = 32 << 10
 	start := time.Now()
-	full, err := megsim.SimulateFull(trace, gpu)
+	full, err := megsim.SimulateFull(ctx, trace, gpu)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -14,6 +14,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -22,6 +23,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	// A short sequence keeps the example quick.
 	scale := megsim.DefaultScale()
 	scale.FrameDivisor = 100
@@ -35,7 +37,7 @@ func main() {
 
 	// Simulate every frame in parallel; worker-local registries merge
 	// into reg when the pool joins.
-	stats, err := megsim.SimulateFullParallel(trace, gpu, 0)
+	stats, err := megsim.SimulateFull(ctx, trace, gpu)
 	if err != nil {
 		log.Fatal(err)
 	}

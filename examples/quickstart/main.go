@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -19,6 +20,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	// The full 2000-frame hcr sequence at the standard reduced scale.
 	trace := megsim.MustGenerateBenchmark("hcr", megsim.DefaultScale())
 	fmt.Printf("workload %q: %d frames, %d vertex shaders, %d fragment shaders\n",
@@ -26,7 +28,7 @@ func main() {
 
 	// MEGsim: characterize -> cluster -> simulate representatives.
 	start := time.Now()
-	run, err := megsim.Sample(trace, megsim.DefaultConfig(), megsim.DefaultGPUConfig())
+	run, err := megsim.Sample(ctx, trace, megsim.DefaultConfig(), megsim.DefaultGPUConfig(), megsim.ResilienceConfig{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -36,7 +38,7 @@ func main() {
 
 	// Validate against the expensive full simulation.
 	start = time.Now()
-	full, err := megsim.SimulateFull(trace, megsim.DefaultGPUConfig())
+	full, err := megsim.SimulateFull(ctx, trace, megsim.DefaultGPUConfig())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math"
@@ -20,6 +21,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	rec := megsim.NewRecorder("orbit-demo", 256, 128)
 
 	// Resources.
@@ -74,7 +76,7 @@ func main() {
 	fmt.Printf("recorded %q: %d frames, %d primitives total\n",
 		trace.Name, trace.NumFrames(), trace.TotalPrimitives())
 
-	run, err := megsim.Sample(trace, megsim.DefaultConfig(), megsim.DefaultGPUConfig())
+	run, err := megsim.Sample(ctx, trace, megsim.DefaultConfig(), megsim.DefaultGPUConfig(), megsim.ResilienceConfig{})
 	if err != nil {
 		log.Fatal(err)
 	}

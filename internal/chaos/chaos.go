@@ -24,6 +24,8 @@ import (
 	"fmt"
 	"hash/fnv"
 	"time"
+
+	"repro/internal/xmath/stats"
 )
 
 // Class is one fault family. Each class draws an independent
@@ -194,15 +196,9 @@ func StagingProfile(seed uint64) Config {
 func Roll(seed uint64, key string, attempt int, class Class) float64 {
 	h := fnv.New64a()
 	h.Write([]byte(key))
-	x := seed ^ h.Sum64() ^
-		uint64(attempt)*0x9E3779B97F4A7C15 ^
-		(uint64(class)+1)*0x94D049BB133111EB
-	x ^= x >> 30
-	x *= 0xBF58476D1CE4E5B9
-	x ^= x >> 27
-	x *= 0x94D049BB133111EB
-	x ^= x >> 31
-	return float64(x>>11) / (1 << 53)
+	return stats.Unit(stats.Mix64(seed ^ h.Sum64() ^
+		uint64(attempt)*stats.MixGamma ^
+		(uint64(class)+1)*stats.MixMul2))
 }
 
 // Decision is the full set of faults one request attempt draws.

@@ -30,11 +30,11 @@ func clusterCampaignBody() string {
 		`{"workload":{"benchmark":"hcr","width":%d,"height":%d,"frame_div":%d,"detail_div":%d},`+
 			`"gpu":{"tile_workers":%d},"resilience":{"retries":%d}}`,
 		sc.Width, sc.Height, sc.FrameDivisor, sc.DetailDivisor,
-		opts.TileWorkers, harness.ServiceResilience().MaxAttempts)
+		opts.GPU.TileWorkers, harness.ServiceResilience().MaxAttempts)
 }
 
 // clusterGolden runs the canonical campaign once, in-process through
-// megsim.SampleResilient — the ground truth every distributed execution
+// megsim.Sample — the ground truth every distributed execution
 // must match byte-for-byte (modulo wall clock). Computed once.
 var (
 	clusterGoldenOnce sync.Once
@@ -50,7 +50,7 @@ func clusterGolden(t *testing.T) []byte {
 			clusterGoldenErr = err
 			return
 		}
-		rrun, err := megsim.SampleResilient(context.Background(), tr,
+		rrun, err := megsim.Sample(context.Background(), tr,
 			req.MegsimConfig(), gpu, harness.ServiceResilience())
 		if err != nil {
 			clusterGoldenErr = err
@@ -371,7 +371,7 @@ func TestDistributedObsIdentity(t *testing.T) {
 		t.Helper()
 		rcfg := harness.ClusterResilience()
 		rcfg.Obs = obs.NewWith(obs.Options{TraceCapacity: -1})
-		rrun, err := megsim.SampleResilientPrepared(context.Background(), tr, ch, sel, gpu, rcfg, fn)
+		rrun, err := megsim.SamplePrepared(context.Background(), tr, ch, sel, gpu, rcfg, fn)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -11,15 +11,15 @@ import (
 	"net/http"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
 	"repro/internal/resilience"
 	"repro/internal/serve"
-	"repro/megsim"
-	"sync/atomic"
-
 	"repro/internal/tbr"
+	"repro/internal/xmath/stats"
+	"repro/megsim"
 )
 
 // DefaultHeartbeatInterval is the worker-probe cadence when
@@ -355,13 +355,7 @@ func (c *Coordinator) auditSample(u *WorkUnit) bool {
 	}
 	h := fnv.New64a()
 	h.Write([]byte(u.Fingerprint))
-	x := c.cfg.AuditSeed ^ h.Sum64() ^ uint64(u.Frame)*0x9E3779B97F4A7C15
-	x ^= x >> 30
-	x *= 0xBF58476D1CE4E5B9
-	x ^= x >> 27
-	x *= 0x94D049BB133111EB
-	x ^= x >> 31
-	return float64(x>>11)/(1<<53) < f
+	return stats.Unit(stats.Mix64(c.cfg.AuditSeed^h.Sum64()^uint64(u.Frame)*stats.MixGamma)) < f
 }
 
 // attemptOutcome is one post's answer as dispatchOnce's select loop

@@ -71,15 +71,11 @@ func (p proceduralSampler) Sample(unit int, u, v float64, f shader.FilterMode) f
 	return x - math.Floor(x)
 }
 
-// Run functionally simulates every frame of the trace. The trace must
-// validate.
-func Run(trace *gltrace.Trace) (*Result, error) { return RunObs(trace, nil) }
-
-// RunObs is Run with observability: when reg is enabled it receives the
-// characterization workload counters ("funcsim.frames", ".draws",
-// ".fragments") and a per-frame fragment-count histogram
-// ("funcsim.frame_fragments"). A nil registry makes RunObs identical to
-// Run.
+// RunObs functionally simulates every frame of the trace, which must
+// validate. When reg is enabled it receives the characterization
+// workload counters ("funcsim.frames", ".draws", ".fragments") and a
+// per-frame fragment-count histogram ("funcsim.frame_fragments"); a nil
+// registry records nothing.
 //
 // Frames are characterized in parallel on GOMAXPROCS workers, each
 // claiming frame indexes and profiling them with its own Streamer

@@ -96,7 +96,8 @@ func RenderFrame(trace *gltrace.Trace, frame int) (*image.RGBA, error) {
 }
 
 // materialColor derives a stable, saturated color from the bound
-// fragment shader and texture ids.
+// fragment shader and texture ids. Its mixer (shifts 29 and 32, one
+// multiply) is not stats.Mix64; switching would change every render.
 func materialColor(fs, tex int) (r, g, b uint8) {
 	h := uint64(fs)*0x9e3779b97f4a7c15 + uint64(tex)*0xbf58476d1ce4e5b9 + 0x94d049bb133111eb
 	h ^= h >> 29

@@ -11,13 +11,13 @@ import (
 )
 
 // Streamer characterizes frames one at a time — the incremental twin of
-// Run. It owns the reusable rasterization scratch (depth buffer,
+// RunObs. It owns the reusable rasterization scratch (depth buffer,
 // triangle buffer, per-draw transform buffer and quad batch), so
 // re-profiling a frame into a profile whose count vectors are already
 // sized allocates nothing. Frames are characterized independently: the
 // depth buffer is cleared and all binding state reset at every frame
 // start, so ProfileInto(f) is a pure function of frame f's commands and
-// the trace resources. That independence is what lets Run fan frames
+// the trace resources. That independence is what lets RunObs fan frames
 // out over workers, one Streamer clone each.
 //
 // This is what lets the streaming sampler (internal/stream) consume an
@@ -167,7 +167,7 @@ func (s *Streamer) ProfileInto(dst *FrameProfile, frame *gltrace.Frame, index in
 }
 
 // profileInto is ProfileInto after validation: the shared per-frame
-// characterization body Run and the streaming sampler both execute.
+// characterization body RunObs and the streaming sampler both execute.
 func (s *Streamer) profileInto(dst *FrameProfile, frame *gltrace.Frame, index int) {
 	*dst = FrameProfile{Frame: index, VSCount: resizeU64(dst.VSCount, len(s.res.vs)), FSCount: resizeU64(dst.FSCount, len(s.res.fs))}
 	s.depth.Clear()

@@ -44,48 +44,23 @@ func TestRunEndToEnd(t *testing.T) {
 	}
 }
 
-func TestRunSampledOnlySkipsGroundTruth(t *testing.T) {
-	r, err := RunSampledOnly(workload.Profiles["hcr"], TestOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Full != nil {
-		t.Fatal("sampled-only run produced ground truth")
-	}
-	if r.Estimate.Cycles == 0 {
-		t.Fatal("no estimate produced")
-	}
-}
-
-func TestSampledOnlyMatchesFullStudyEstimate(t *testing.T) {
-	opts := TestOptions()
-	full, err := Run(workload.Profiles["jjo"], opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sampled, err := RunSampledOnly(workload.Profiles["jjo"], opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if full.Estimate != sampled.Estimate {
-		t.Fatal("estimates differ between full study and sampled-only run")
-	}
-}
-
 func TestTileWorkersOptionDoesNotAffectResults(t *testing.T) {
-	// Options.TileWorkers must thread into the GPU config, and any
-	// worker count >= 1 must produce identical estimates.
+	// Any GPU.TileWorkers >= 1 must produce identical ground truth and
+	// identical estimates.
 	one := TestOptions()
-	one.TileWorkers = 1
+	one.GPU.TileWorkers = 1
 	four := TestOptions()
-	four.TileWorkers = 4
-	a, err := RunSampledOnly(workload.Profiles["hcr"], one)
+	four.GPU.TileWorkers = 4
+	a, err := Run(workload.Profiles["hcr"], one)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunSampledOnly(workload.Profiles["hcr"], four)
+	b, err := Run(workload.Profiles["hcr"], four)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if a.FullTotals != b.FullTotals {
+		t.Fatalf("ground truth depends on tile-worker count:\n1: %+v\n4: %+v", a.FullTotals, b.FullTotals)
 	}
 	if a.Estimate != b.Estimate {
 		t.Fatalf("estimate depends on tile-worker count:\n1: %+v\n4: %+v", a.Estimate, b.Estimate)

@@ -1,6 +1,7 @@
 package resilience
 
 import (
+	"context"
 	"math"
 	"reflect"
 	"testing"
@@ -164,7 +165,7 @@ func TestDegradedAccuracyWithinWidenedBands(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		ch, err := funcsim.Run(tr)
+		ch, err := funcsim.RunObs(tr, nil)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -177,7 +178,7 @@ func TestDegradedAccuracyWithinWidenedBands(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		full, err := tbr.SimulateAllParallel(tbr.DefaultConfig(), tr, 0, nil)
+		full, err := tbr.SimulateAllParallelCtx(context.Background(), tbr.DefaultConfig(), tr, 0, nil)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}

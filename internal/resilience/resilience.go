@@ -36,6 +36,7 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/tbr"
+	"repro/internal/xmath/stats"
 )
 
 // FrameFunc simulates one frame, recording observability into reg (nil
@@ -177,13 +178,8 @@ func Backoff(base, cap time.Duration, seed uint64, frame, attempt int) time.Dura
 	}
 	// splitmix64 finalizer over the mixed coordinates, as the fault
 	// layer does: jitter is a pure function of (seed, frame, attempt).
-	x := seed ^ uint64(frame)*0x9E3779B97F4A7C15 ^ uint64(attempt)*0xBF58476D1CE4E5B9
-	x ^= x >> 30
-	x *= 0xBF58476D1CE4E5B9
-	x ^= x >> 27
-	x *= 0x94D049BB133111EB
-	x ^= x >> 31
-	jitter := 0.5 + 0.5*float64(x>>11)/(1<<53) // [0.5, 1.0)
+	x := stats.Mix64(seed ^ uint64(frame)*stats.MixGamma ^ uint64(attempt)*stats.MixMul1)
+	jitter := 0.5 + 0.5*stats.Unit(x) // [0.5, 1.0)
 	return time.Duration(float64(d) * jitter)
 }
 

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -104,6 +105,35 @@ func TestRunRetriesAndQuarantines(t *testing.T) {
 	}
 	if tr.count(3) != 3 {
 		t.Fatalf("frame 3 attempted %d times, want 3", tr.count(3))
+	}
+}
+
+// panicWriter is a log sink that panics on every write.
+type panicWriter struct{}
+
+func (panicWriter) Write([]byte) (int, error) { panic("log sink down") }
+
+// TestRunSurfacesSupervisorPanic: a panic outside the frame function
+// (here the log sink, hit by the retry line) is a supervisor failure,
+// not a frame failure. Run must return it as an error — not crash, not
+// swallow it, not quarantine the frame — and still report the frames
+// that completed before it.
+func TestRunSurfacesSupervisorPanic(t *testing.T) {
+	fn := func(ctx context.Context, frame int, reg *obs.Registry) (tbr.FrameStats, error) {
+		if frame == 1 {
+			return tbr.FrameStats{}, fmt.Errorf("frame 1 fails")
+		}
+		return synthStats(frame), nil
+	}
+	res, err := Run(context.Background(), []int{0, 1, 2}, fn, noBackoff(Config{Workers: 1, MaxAttempts: 2, Log: panicWriter{}}))
+	if err == nil || !strings.Contains(err.Error(), "log sink down") {
+		t.Fatalf("Run error = %v, want the supervisor panic", err)
+	}
+	if res == nil || res.Stats[0] != synthStats(0) {
+		t.Fatalf("completed frame 0 not reported: %+v", res)
+	}
+	if _, ok := res.Stats[1]; ok || len(res.Quarantined) != 0 {
+		t.Fatalf("frame 1 must stay incomplete: stats %v, quarantined %v", res.Stats, res.Quarantined)
 	}
 }
 

@@ -90,7 +90,7 @@ func (c *Cache) Characterization(ctx context.Context, key string, build func() (
 // statistics without simulating (the supervisor still checkpoints and
 // counts them); misses simulate via fn and populate the cache. The
 // wrapped function stays pure per frame — exactly fn's contract — so
-// SampleResilientPrepared's guarantees are unchanged. A cache-hit
+// SamplePrepared's guarantees are unchanged. A cache-hit
 // frame records no observability delta (there was no simulation);
 // service-level metrics account for the hit instead.
 func (c *Cache) FrameRunner(fp string, fn megsim.ResilientFrameFunc) megsim.ResilientFrameFunc {

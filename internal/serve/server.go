@@ -23,7 +23,7 @@
 //     campaign after restart resumes from its checkpoint to
 //     byte-identical results.
 //
-// Jobs execute under megsim.SampleResilientPrepared, so per-frame
+// Jobs execute under megsim.SamplePrepared, so per-frame
 // retry, quarantine, checkpointing and graceful degradation all apply
 // per job exactly as they do in the CLI.
 package serve
@@ -341,7 +341,7 @@ func (s *Server) execute(ctx context.Context, j *Job) (*CampaignReport, error) {
 
 	start := time.Now()
 	s.executed.Inc()
-	rrun, err := megsim.SampleResilientPrepared(ctx, tr, ch, sel, gpu, rcfg, fn)
+	rrun, err := megsim.SamplePrepared(ctx, tr, ch, sel, gpu, rcfg, fn)
 	// Fold whatever the job recorded — even a cancelled run's completed
 	// frames — into the service registry for /metrics.
 	s.reg.Merge(jobReg)

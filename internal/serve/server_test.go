@@ -31,7 +31,7 @@ func serviceCampaignBody(tileWorkers int, extraResilience string) string {
 }
 
 // directGolden runs the canonical campaign once, directly through
-// megsim.SampleResilient under the same `service` preset — the ground
+// megsim.Sample under the same `service` preset — the ground
 // truth every service response must match byte-for-byte (modulo wall
 // clock). Computed once and shared across tests.
 var (
@@ -55,8 +55,8 @@ func directGolden(t *testing.T) []byte {
 			return
 		}
 		gpu := megsim.DefaultGPUConfig()
-		gpu.TileWorkers = opts.TileWorkers
-		rrun, err := megsim.SampleResilient(context.Background(), tr,
+		gpu.TileWorkers = opts.GPU.TileWorkers
+		rrun, err := megsim.Sample(context.Background(), tr,
 			megsim.DefaultConfig(), gpu, harness.ServiceResilience())
 		if err != nil {
 			goldenErr = err
@@ -194,7 +194,7 @@ func counter(s *Server, name string) uint64 {
 // concurrent identical submissions (across tile-worker counts, which
 // normalize to one fingerprint) run ONE simulation, every poller reads
 // byte-identical bytes, and those bytes match a direct in-process
-// megsim.SampleResilient run of the same campaign.
+// megsim.Sample run of the same campaign.
 func TestCampaignCacheIdentity(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 2, QueueCapacity: 16})
 

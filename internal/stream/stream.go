@@ -32,6 +32,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/funcsim"
 	"repro/internal/shader"
+	"repro/internal/xmath/stats"
 )
 
 // Default capacity parameters: a stratum budget sized to the cluster
@@ -490,11 +491,5 @@ func (in *Ingestor) resolve(label int) int {
 // on arrival interleaving, chunk boundaries, or merge history — and a
 // checkpointed ingestor carries no RNG state at all.
 func framePriority(seed uint64, frame int) uint64 {
-	x := seed + 0x9E3779B97F4A7C15*uint64(frame+1)
-	x ^= x >> 30
-	x *= 0xBF58476D1CE4E5B9
-	x ^= x >> 27
-	x *= 0x94D049BB133111EB
-	x ^= x >> 31
-	return x
+	return stats.Mix64(seed + stats.MixGamma*uint64(frame+1))
 }

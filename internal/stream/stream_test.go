@@ -43,7 +43,7 @@ func seedResult(t testing.TB, seed uint64) *seedData {
 	if err != nil {
 		t.Fatalf("generate workload: %v", err)
 	}
-	fr, err := funcsim.Run(tr)
+	fr, err := funcsim.RunObs(tr, nil)
 	if err != nil {
 		t.Fatalf("funcsim: %v", err)
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/tbr/mem"
+	"repro/internal/xmath/stats"
 )
 
 // FaultConfig is the deterministic fault-injection layer of the
@@ -101,16 +102,10 @@ func (f *FaultConfig) Validate() error {
 // (frame, tile, class) triple — a splitmix64 finalizer over the mixed
 // coordinates, so the pattern is independent of simulation order.
 func (f *FaultConfig) roll(frame, tile int, class uint64) float64 {
-	x := f.Seed ^
-		uint64(frame)*0x9E3779B97F4A7C15 ^
-		uint64(tile)*0xBF58476D1CE4E5B9 ^
-		(class+1)*0x94D049BB133111EB
-	x ^= x >> 30
-	x *= 0xBF58476D1CE4E5B9
-	x ^= x >> 27
-	x *= 0x94D049BB133111EB
-	x ^= x >> 31
-	return float64(x>>11) / (1 << 53)
+	return stats.Unit(stats.Mix64(f.Seed ^
+		uint64(frame)*stats.MixGamma ^
+		uint64(tile)*stats.MixMul1 ^
+		(class+1)*stats.MixMul2))
 }
 
 // perturbDRAM applies the DRAM-latency fault to an already

@@ -80,32 +80,59 @@ func runPool(ctx context.Context, cfg Config, trace *gltrace.Trace, workers, n i
 	return firstErr
 }
 
-// SimulateFramesParallel simulates the given frame subset across
-// `workers` goroutines (0 = GOMAXPROCS), returning stats in the same
-// order as frames. Like SimulateAllParallel it requires frame isolation
-// (FlushCachesPerFrame).
-func SimulateFramesParallel(cfg Config, trace *gltrace.Trace, frames []int, workers int) ([]FrameStats, error) {
-	return SimulateFramesParallelCtx(context.Background(), cfg, trace, frames, workers)
+// SimulateFramesParallelCtx simulates the given frames and returns
+// their stats in the same order. Whether frames may run concurrently is
+// decided here, from cfg.FlushCachesPerFrame alone: with frame
+// isolation they fan out across `workers` goroutines (0 = GOMAXPROCS),
+// each with its own Simulator, and the result is bit-identical to a
+// sequential run however frames are distributed — verified by tests.
+// Without it every frame inherits the caches its predecessor left, so
+// one Simulator runs the frames in the order given, exactly as an
+// in-order SimulateFrame loop would. Cancellation (or deadline expiry)
+// stops every worker at its next claim and returns ctx's error. Results
+// are all-or-nothing — a cancelled run returns no stats, exactly like a
+// failed one.
+func SimulateFramesParallelCtx(ctx context.Context, cfg Config, trace *gltrace.Trace, frames []int, workers int) ([]FrameStats, error) {
+	return simulateFrames(ctx, cfg, trace, frames, workers, nil)
 }
 
-// SimulateFramesParallelCtx is SimulateFramesParallel honoring a
-// context: cancellation (or deadline expiry) stops every worker at its
-// next claim and returns ctx's error. Results are all-or-nothing — a
-// cancelled run returns no stats, exactly like a failed one.
-func SimulateFramesParallelCtx(ctx context.Context, cfg Config, trace *gltrace.Trace, frames []int, workers int) ([]FrameStats, error) {
-	if !cfg.FlushCachesPerFrame {
-		return nil, fmt.Errorf("tbr: parallel simulation requires FlushCachesPerFrame (frame isolation)")
+// SimulateAllParallelCtx is SimulateFramesParallelCtx over every frame
+// of the trace, in order. progress, if non-nil, is called once per
+// completed frame (from worker goroutines when frames run in parallel;
+// it must be safe for concurrent use).
+func SimulateAllParallelCtx(ctx context.Context, cfg Config, trace *gltrace.Trace, workers int, progress func(frame int)) ([]FrameStats, error) {
+	frames := make([]int, trace.NumFrames())
+	for f := range frames {
+		frames[f] = f
 	}
+	return simulateFrames(ctx, cfg, trace, frames, workers, progress)
+}
+
+// simulateFrames is the one frame driver behind both entry points:
+// out[i] = SimulateFrame(frames[i]).
+func simulateFrames(ctx context.Context, cfg Config, trace *gltrace.Trace, frames []int, workers int, progress func(frame int)) ([]FrameStats, error) {
 	for _, f := range frames {
 		if f < 0 || f >= trace.NumFrames() {
 			return nil, fmt.Errorf("tbr: frame %d out of range [0,%d)", f, trace.NumFrames())
 		}
+	}
+	if !cfg.FlushCachesPerFrame {
+		// Warm caches carry state across frames: the only correct
+		// schedule is one Simulator over the frames in order, which is
+		// what a single pool worker claiming items in turn does.
+		workers = 1
 	}
 	workers = pool.Workers(workers, len(frames))
 	if len(frames) == 0 {
 		return nil, ctx.Err()
 	}
 	out := make([]FrameStats, len(frames))
+	step := func(sim *Simulator, i int) {
+		out[i] = sim.SimulateFrame(frames[i])
+		if progress != nil {
+			progress(frames[i])
+		}
+	}
 	// A single worker skips the pool — unless a checker is attached, in
 	// which case the pool's recover is what converts a failed CheckFrame
 	// (a panic out of SimulateFrame) into an error.
@@ -114,74 +141,15 @@ func SimulateFramesParallelCtx(ctx context.Context, cfg Config, trace *gltrace.T
 		if err != nil {
 			return nil, err
 		}
-		for i, f := range frames {
+		for i := range frames {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-			out[i] = sim.SimulateFrame(f)
+			step(sim, i)
 		}
 		return out, nil
 	}
-	err := runPool(ctx, cfg, trace, workers, len(frames), func(sim *Simulator, i int) {
-		out[i] = sim.SimulateFrame(frames[i])
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// SimulateAllParallel simulates every frame of the trace across
-// `workers` goroutines (0 = GOMAXPROCS), each with its own Simulator
-// instance. It requires FlushCachesPerFrame: frame isolation makes the
-// result bit-identical to the sequential SimulateAll regardless of how
-// frames are distributed over workers — verified by tests. progress, if
-// non-nil, is called once per completed frame (from worker goroutines;
-// it must be safe for concurrent use).
-func SimulateAllParallel(cfg Config, trace *gltrace.Trace, workers int, progress func(frame int)) ([]FrameStats, error) {
-	return SimulateAllParallelCtx(context.Background(), cfg, trace, workers, progress)
-}
-
-// SimulateAllParallelCtx is SimulateAllParallel honoring a context:
-// cancellation stops every worker at its next frame claim and returns
-// ctx's error instead of stats.
-func SimulateAllParallelCtx(ctx context.Context, cfg Config, trace *gltrace.Trace, workers int, progress func(frame int)) ([]FrameStats, error) {
-	if !cfg.FlushCachesPerFrame {
-		return nil, fmt.Errorf("tbr: parallel simulation requires FlushCachesPerFrame (frame isolation)")
-	}
-	n := trace.NumFrames()
-	workers = pool.Workers(workers, n)
-	if n == 0 {
-		return nil, ctx.Err()
-	}
-	// See SimulateFramesParallelCtx for why a checker disables the
-	// serial fast path.
-	if workers <= 1 && cfg.Check == nil {
-		sim, err := New(cfg, trace)
-		if err != nil {
-			return nil, err
-		}
-		out := make([]FrameStats, 0, n)
-		for f := 0; f < n; f++ {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			out = append(out, sim.SimulateFrame(f))
-			if progress != nil {
-				progress(f)
-			}
-		}
-		return out, nil
-	}
-
-	out := make([]FrameStats, n)
-	err := runPool(ctx, cfg, trace, workers, n, func(sim *Simulator, f int) {
-		out[f] = sim.SimulateFrame(f)
-		if progress != nil {
-			progress(f)
-		}
-	})
-	if err != nil {
+	if err := runPool(ctx, cfg, trace, workers, len(frames), step); err != nil {
 		return nil, err
 	}
 	return out, nil

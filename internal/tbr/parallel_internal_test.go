@@ -30,7 +30,7 @@ func TestParallelAbortsPromptlyOnWorkerFailure(t *testing.T) {
 	})
 	defer setTestWorkerHook(nil)
 
-	_, err := SimulateFramesParallel(DefaultConfig(), tr, frames, 4)
+	_, err := SimulateFramesParallelCtx(context.Background(), DefaultConfig(), tr, frames, 4)
 	if err == nil {
 		t.Fatal("pool swallowed the worker failure")
 	}
@@ -102,7 +102,7 @@ func TestParallelFirstErrorWins(t *testing.T) {
 	setTestWorkerHook(func(item int) { panic("boom") })
 	defer setTestWorkerHook(nil)
 
-	out, err := SimulateFramesParallel(DefaultConfig(), tr, frames, 4)
+	out, err := SimulateFramesParallelCtx(context.Background(), DefaultConfig(), tr, frames, 4)
 	if err == nil {
 		t.Fatal("no error surfaced")
 	}

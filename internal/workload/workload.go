@@ -388,7 +388,9 @@ func spdProfile() Profile {
 }
 
 // frameSeed derives the deterministic per-frame RNG seed so every frame's
-// content is a pure function of (profile seed, frame index).
+// content is a pure function of (profile seed, frame index). Its mixer
+// (shifts 29 and 32, one multiply) is not stats.Mix64; switching would
+// change every generated trace.
 func frameSeed(seed uint64, frame int) uint64 {
 	x := seed ^ (uint64(frame)+1)*0x9e3779b97f4a7c15
 	x ^= x >> 29

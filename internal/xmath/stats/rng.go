@@ -24,13 +24,36 @@ func NewRNG(seed uint64) *RNG {
 	return &RNG{state: seed}
 }
 
+// The odd constants of splitmix64: MixGamma is the generator's state
+// increment, MixMul1 and MixMul2 the finalizer's multipliers. Callers
+// that key Mix64 on several coordinates spread each coordinate with a
+// different one of them first.
+const (
+	MixGamma uint64 = 0x9E3779B97F4A7C15
+	MixMul1  uint64 = 0xBF58476D1CE4E5B9
+	MixMul2  uint64 = 0x94D049BB133111EB
+)
+
+// Mix64 is the splitmix64 finalizer, the one seed-keyed hash of the
+// repository: a bijection whose every output bit depends on every input
+// bit. Deterministic fault, chaos, audit, backoff and reservoir draws
+// are Mix64 of their mixed coordinates, so they are pure functions of
+// those coordinates and never of execution order.
+func Mix64(x uint64) uint64 {
+	x ^= x >> 30
+	x *= MixMul1
+	x ^= x >> 27
+	x *= MixMul2
+	return x ^ (x >> 31)
+}
+
+// Unit maps 64 random bits to a float64 in [0, 1) using the top 53.
+func Unit(x uint64) float64 { return float64(x>>11) / (1 << 53) }
+
 // Uint64 returns the next 64 bits of the stream.
 func (r *RNG) Uint64() uint64 {
-	r.state += 0x9e3779b97f4a7c15
-	z := r.state
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
+	r.state += MixGamma
+	return Mix64(r.state)
 }
 
 // Intn returns a uniformly distributed int in [0, n). It panics if n <= 0.
@@ -43,7 +66,7 @@ func (r *RNG) Intn(n int) int {
 
 // Float64 returns a uniformly distributed float64 in [0, 1).
 func (r *RNG) Float64() float64 {
-	return float64(r.Uint64()>>11) / (1 << 53)
+	return Unit(r.Uint64())
 }
 
 // Range returns a uniformly distributed float64 in [lo, hi).

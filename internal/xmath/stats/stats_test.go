@@ -311,3 +311,22 @@ func TestVarianceNonNegativeProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestMix64MatchesSplitMix64: Mix64 is the reference splitmix64
+// finalizer (its first output from seed 0 is the published
+// 0xe220a8397b1dcdaf), RNG.Uint64 is Mix64 of the advanced state, and
+// Unit maps onto [0, 1).
+func TestMix64MatchesSplitMix64(t *testing.T) {
+	if got := Mix64(MixGamma); got != 0xe220a8397b1dcdaf {
+		t.Fatalf("Mix64(MixGamma) = %#x, want 0xe220a8397b1dcdaf", got)
+	}
+	r := NewRNG(42)
+	for i := uint64(1); i <= 4; i++ {
+		if got, want := r.Uint64(), Mix64(42+i*MixGamma); got != want {
+			t.Fatalf("draw %d = %#x, want %#x", i, got, want)
+		}
+	}
+	if Unit(0) != 0 || Unit(^uint64(0)) >= 1 || Unit(1<<63) != 0.5 {
+		t.Fatalf("Unit out of [0, 1): %v %v %v", Unit(0), Unit(^uint64(0)), Unit(1<<63))
+	}
+}

@@ -1,6 +1,7 @@
 package megsim_test
 
 import (
+	"context"
 	"fmt"
 
 	"repro/megsim"
@@ -11,7 +12,7 @@ import (
 func ExampleSample() {
 	sc := megsim.Scale{Width: 128, Height: 64, FrameDivisor: 20, DetailDivisor: 2}
 	trace := megsim.MustGenerateBenchmark("hcr", sc)
-	run, err := megsim.Sample(trace, megsim.DefaultConfig(), megsim.DefaultGPUConfig())
+	run, err := megsim.Sample(context.Background(), trace, megsim.DefaultConfig(), megsim.DefaultGPUConfig(), megsim.ResilienceConfig{})
 	if err != nil {
 		fmt.Println("error:", err)
 		return

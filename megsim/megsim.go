@@ -7,7 +7,7 @@
 // The typical flow is:
 //
 //	trace := megsim.MustGenerateBenchmark("bbr1", megsim.DefaultScale())
-//	run, err := megsim.Sample(trace, megsim.DefaultConfig(), megsim.DefaultGPUConfig())
+//	run, err := megsim.Sample(ctx, trace, megsim.DefaultConfig(), megsim.DefaultGPUConfig(), megsim.ResilienceConfig{})
 //	// run.Estimate holds full-sequence statistics obtained by
 //	// simulating only run.Representatives (tens of frames instead of
 //	// thousands).
@@ -19,7 +19,7 @@
 package megsim
 
 import (
-	"fmt"
+	"context"
 	"image"
 
 	"repro/internal/core"
@@ -143,7 +143,7 @@ func LoadTrace(path string) (*Trace, error) { return gltrace.LoadFile(path) }
 
 // Characterize runs the fast functional simulation that produces the
 // per-frame profiles MEGsim clusters on (the cheap first pass).
-func Characterize(tr *Trace) (*Characterization, error) { return funcsim.Run(tr) }
+func Characterize(tr *Trace) (*Characterization, error) { return funcsim.RunObs(tr, nil) }
 
 // SelectFrames builds the vectors of characteristics and picks the
 // representative frames.
@@ -182,54 +182,14 @@ func (r *Run) Representatives() []int { return r.Selection.Representatives }
 // metric).
 func (r *Run) ReductionFactor() float64 { return r.Selection.ReductionFactor() }
 
-// Sample executes the full MEGsim flow on a trace: characterize, select
-// representatives, simulate only those frames on the cycle-level
-// simulator, and extrapolate full-sequence statistics.
-func Sample(tr *Trace, cfg Config, gpu GPUConfig) (*Run, error) {
-	ch, err := Characterize(tr)
-	if err != nil {
-		return nil, fmt.Errorf("megsim: characterization: %w", err)
-	}
-	sel, err := SelectFrames(ch, cfg)
-	if err != nil {
-		return nil, fmt.Errorf("megsim: selection: %w", err)
-	}
-	sim, err := NewSimulator(gpu, tr)
-	if err != nil {
-		return nil, fmt.Errorf("megsim: simulator: %w", err)
-	}
-	repStats := make(map[int]FrameStats, sel.NumRepresentatives())
-	for _, f := range sel.Representatives {
-		repStats[f] = sim.SimulateFrame(f)
-	}
-	est, err := sel.Estimate(repStats)
-	if err != nil {
-		return nil, fmt.Errorf("megsim: estimation: %w", err)
-	}
-	return &Run{
-		Trace:               tr,
-		Characterization:    ch,
-		Selection:           sel,
-		RepresentativeStats: repStats,
-		Estimate:            est,
-	}, nil
-}
-
 // SimulateFull runs the cycle-level simulator over every frame — the
 // expensive baseline MEGsim avoids; exposed for validation studies.
-func SimulateFull(tr *Trace, gpu GPUConfig) ([]FrameStats, error) {
-	sim, err := NewSimulator(gpu, tr)
-	if err != nil {
-		return nil, err
-	}
-	return sim.SimulateAll(nil), nil
-}
-
-// SimulateFullParallel is SimulateFull across worker goroutines
-// (0 = GOMAXPROCS). Frame isolation makes the result bit-identical to
-// the sequential run; it requires GPUConfig.FlushCachesPerFrame.
-func SimulateFullParallel(tr *Trace, gpu GPUConfig, workers int) ([]FrameStats, error) {
-	return tbr.SimulateAllParallel(gpu, tr, workers, nil)
+// Frames run in parallel on all cores when gpu.FlushCachesPerFrame
+// isolates them (the result is bit-identical to a sequential run), and
+// in order on one simulator when caches stay warm. Cancelling ctx stops
+// at the next frame claim.
+func SimulateFull(ctx context.Context, tr *Trace, gpu GPUConfig) ([]FrameStats, error) {
+	return tbr.SimulateAllParallelCtx(ctx, gpu, tr, 0, nil)
 }
 
 // GPUPresets returns named GPU configurations (mali450 = Table I,

@@ -2,6 +2,7 @@ package megsim_test
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"repro/megsim"
@@ -28,7 +29,7 @@ func TestBenchmarksListed(t *testing.T) {
 
 func TestSampleEndToEnd(t *testing.T) {
 	tr := megsim.MustGenerateBenchmark("hcr", testScale())
-	run, err := megsim.Sample(tr, megsim.DefaultConfig(), megsim.DefaultGPUConfig())
+	run, err := megsim.Sample(context.Background(), tr, megsim.DefaultConfig(), megsim.DefaultGPUConfig(), megsim.ResilienceConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,11 +49,11 @@ func TestSampleEndToEnd(t *testing.T) {
 
 func TestSampleMatchesFullSimulation(t *testing.T) {
 	tr := megsim.MustGenerateBenchmark("jjo", testScale())
-	run, err := megsim.Sample(tr, megsim.DefaultConfig(), megsim.DefaultGPUConfig())
+	run, err := megsim.Sample(context.Background(), tr, megsim.DefaultConfig(), megsim.DefaultGPUConfig(), megsim.ResilienceConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := megsim.SimulateFull(tr, megsim.DefaultGPUConfig())
+	full, err := megsim.SimulateFull(context.Background(), tr, megsim.DefaultGPUConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,11 +106,11 @@ func TestTBDRConfigThroughFacade(t *testing.T) {
 	tr := megsim.MustGenerateBenchmark("bbr1", testScale())
 	gpu := megsim.DefaultGPUConfig()
 	gpu.DeferredShading = true
-	run, err := megsim.Sample(tr, megsim.DefaultConfig(), gpu)
+	run, err := megsim.Sample(context.Background(), tr, megsim.DefaultConfig(), gpu, megsim.ResilienceConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := megsim.Sample(tr, megsim.DefaultConfig(), megsim.DefaultGPUConfig())
+	base, err := megsim.Sample(context.Background(), tr, megsim.DefaultConfig(), megsim.DefaultGPUConfig(), megsim.ResilienceConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,14 +123,19 @@ func TestTBDRConfigThroughFacade(t *testing.T) {
 func TestFacadeWrappers(t *testing.T) {
 	tr := megsim.MustGenerateBenchmark("hcr", testScale())
 
-	// Parallel full simulation matches the sequential one exactly.
-	seq, err := megsim.SimulateFull(tr, megsim.DefaultGPUConfig())
+	// Full simulation (frame-parallel under the default frame
+	// isolation) matches one simulator stepping every frame in order.
+	sim, err := megsim.NewSimulator(megsim.DefaultGPUConfig(), tr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := megsim.SimulateFullParallel(tr, megsim.DefaultGPUConfig(), 3)
+	seq := sim.SimulateAll(nil)
+	par, err := megsim.SimulateFull(context.Background(), tr, megsim.DefaultGPUConfig())
 	if err != nil {
 		t.Fatal(err)
+	}
+	if len(par) != len(seq) {
+		t.Fatalf("frames = %d, want %d", len(par), len(seq))
 	}
 	for i := range seq {
 		if seq[i] != par[i] {

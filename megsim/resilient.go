@@ -36,7 +36,7 @@ type (
 // Supervise runs fn over frames under the run supervisor: per-frame
 // retry with capped deterministic backoff, quarantine, frame-granularity
 // checkpointing with resume, and the stall watchdog. It is the
-// frame-loop primitive behind SampleResilient, exposed for callers (the
+// frame-loop primitive behind Sample, exposed for callers (the
 // gpusim CLI, custom sweeps) that bring their own frame list.
 func Supervise(ctx context.Context, frames []int, fn ResilientFrameFunc, cfg ResilienceConfig) (*ResilienceResult, error) {
 	return resilience.Run(ctx, frames, fn, cfg)
@@ -111,8 +111,11 @@ func FrameRunner(tr *Trace, gpu GPUConfig) resilience.FrameFunc {
 	}
 }
 
-// SampleResilient is Sample under the run supervisor: representative
-// frames are simulated with per-frame retry and quarantine, progress is
+// Sample executes the full MEGsim flow on a trace: characterize, select
+// representatives, simulate only those frames on the cycle-level
+// simulator, and extrapolate full-sequence statistics. The
+// representatives run under the run supervisor: each frame is
+// simulated with per-frame retry and quarantine, progress is
 // checkpointed at frame granularity (when rcfg.CheckpointPath is set),
 // and quarantined representatives degrade gracefully — the next-closest
 // in-cluster frame substitutes, weights rescale, and the ResilientRun
@@ -120,7 +123,7 @@ func FrameRunner(tr *Trace, gpu GPUConfig) resilience.FrameFunc {
 // boundary with a final checkpoint flushed, so a later call with
 // rcfg.Resume picks up exactly where the run died; the resumed run's
 // estimate and observability are byte-identical to an uninterrupted one.
-func SampleResilient(ctx context.Context, tr *Trace, cfg Config, gpu GPUConfig, rcfg ResilienceConfig) (*ResilientRun, error) {
+func Sample(ctx context.Context, tr *Trace, cfg Config, gpu GPUConfig, rcfg ResilienceConfig) (*ResilientRun, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -135,18 +138,18 @@ func SampleResilient(ctx context.Context, tr *Trace, cfg Config, gpu GPUConfig, 
 	if err != nil {
 		return nil, fmt.Errorf("megsim: selection: %w", err)
 	}
-	return SampleResilientPrepared(ctx, tr, ch, sel, gpu, rcfg, FrameRunner(tr, gpu))
+	return SamplePrepared(ctx, tr, ch, sel, gpu, rcfg, FrameRunner(tr, gpu))
 }
 
-// SampleResilientPrepared is the supervise-then-degrade core of
-// SampleResilient for callers that bring their own characterization,
+// SamplePrepared is the supervise-then-degrade core of Sample for
+// callers that bring their own characterization,
 // selection and frame function — the campaign service (internal/serve)
 // uses it to reuse a content-addressed characterization cache and to
 // wrap FrameRunner with a per-representative result cache. The
-// semantics are exactly SampleResilient's given the same inputs: fn
+// semantics are exactly Sample's given the same inputs: fn
 // must be pure per frame (same frame, same stats), which FrameRunner —
 // or a cache over it — provides.
-func SampleResilientPrepared(ctx context.Context, tr *Trace, ch *Characterization, sel *Selection, gpu GPUConfig, rcfg ResilienceConfig, fn ResilientFrameFunc) (*ResilientRun, error) {
+func SamplePrepared(ctx context.Context, tr *Trace, ch *Characterization, sel *Selection, gpu GPUConfig, rcfg ResilienceConfig, fn ResilientFrameFunc) (*ResilientRun, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -273,10 +276,4 @@ func mergeSupervision(dst, r *ResilienceResult, first bool) {
 		}
 	}
 	sort.Ints(dst.StalledWorkers)
-}
-
-// SimulateFullParallelCtx is SimulateFullParallel honoring a context:
-// cancellation stops every worker at its next frame claim.
-func SimulateFullParallelCtx(ctx context.Context, tr *Trace, gpu GPUConfig, workers int) ([]FrameStats, error) {
-	return tbr.SimulateAllParallelCtx(ctx, gpu, tr, workers, nil)
 }

@@ -10,25 +10,23 @@ import (
 )
 
 // TestSampleResilientHealthyMatchesSample: with nothing failing, the
-// supervised sampling path must land on exactly the estimate the plain
-// Sample path computes — supervision is free when the run is healthy.
+// supervised Sample must land on exactly the estimate an unsupervised
+// characterize → select → simulate → estimate pass computes —
+// supervision is free when the run is healthy.
 func TestSampleResilientHealthyMatchesSample(t *testing.T) {
 	tr := megsim.MustGenerateBenchmark("hcr", testScale())
 	cfg, gpu := megsim.DefaultConfig(), megsim.DefaultGPUConfig()
 
-	plain, err := megsim.Sample(tr, cfg, gpu)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rrun, err := megsim.SampleResilient(context.Background(), tr, cfg, gpu, megsim.ResilienceConfig{})
+	plain := unsupervisedEstimate(t, tr, cfg, gpu)
+	rrun, err := megsim.Sample(context.Background(), tr, cfg, gpu, megsim.ResilienceConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rrun.Degraded() {
 		t.Fatalf("healthy run reported degraded: %+v", rrun.Degradation)
 	}
-	if rrun.Estimate != plain.Estimate {
-		t.Fatalf("supervised estimate differs:\n got %+v\nwant %+v", rrun.Estimate, plain.Estimate)
+	if rrun.Estimate != plain {
+		t.Fatalf("supervised estimate differs:\n got %+v\nwant %+v", rrun.Estimate, plain)
 	}
 	if len(rrun.Supervision.Quarantined) != 0 || rrun.Supervision.Retried != 0 {
 		t.Fatalf("healthy supervision: %+v", rrun.Supervision)
@@ -44,14 +42,18 @@ func TestSampleResilientDegradationLoop(t *testing.T) {
 	tr := megsim.MustGenerateBenchmark("hcr", testScale())
 	cfg, gpu := megsim.DefaultConfig(), megsim.DefaultGPUConfig()
 
-	plain, err := megsim.Sample(tr, cfg, gpu)
+	ch, err := megsim.Characterize(tr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	victim := plain.Representatives()[0]
+	sel, err := megsim.SelectFrames(ch, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	victim := sel.Representatives[0]
 
 	ckpt := filepath.Join(t.TempDir(), "run.ckpt")
-	rrun, err := megsim.SampleResilient(context.Background(), tr, cfg, gpu, megsim.ResilienceConfig{
+	rrun, err := megsim.Sample(context.Background(), tr, cfg, gpu, megsim.ResilienceConfig{
 		CheckpointPath: ckpt,
 		Quarantine:     []int{victim},
 	})
@@ -94,17 +96,17 @@ func TestSampleResilientCancelThenResume(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // killed before the first frame boundary
-	if _, err := megsim.SampleResilient(ctx, tr, cfg, gpu, megsim.ResilienceConfig{}); !errors.Is(err, context.Canceled) {
+	if _, err := megsim.Sample(ctx, tr, cfg, gpu, megsim.ResilienceConfig{}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled run: err = %v", err)
 	}
 
 	ckpt := filepath.Join(t.TempDir(), "run.ckpt")
-	ref, err := megsim.SampleResilient(context.Background(), tr, cfg, gpu, megsim.ResilienceConfig{CheckpointPath: ckpt})
+	ref, err := megsim.Sample(context.Background(), tr, cfg, gpu, megsim.ResilienceConfig{CheckpointPath: ckpt})
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	res, err := megsim.SampleResilient(context.Background(), tr, cfg, gpu, megsim.ResilienceConfig{
+	res, err := megsim.Sample(context.Background(), tr, cfg, gpu, megsim.ResilienceConfig{
 		CheckpointPath: ckpt,
 		Resume:         true,
 	})
@@ -152,4 +154,32 @@ func TestRunFingerprintSensitivity(t *testing.T) {
 	if megsim.RunFingerprint(tr, obs) != base {
 		t.Fatal("fingerprint varies with observability")
 	}
+}
+
+// unsupervisedEstimate is the reference sampled pass with no supervisor:
+// characterize, select, simulate the representatives in order on one
+// simulator, and extrapolate.
+func unsupervisedEstimate(t *testing.T, tr *megsim.Trace, cfg megsim.Config, gpu megsim.GPUConfig) megsim.FrameStats {
+	t.Helper()
+	ch, err := megsim.Characterize(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sel, err := megsim.SelectFrames(ch, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim, err := megsim.NewSimulator(gpu, tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	repStats := make(map[int]megsim.FrameStats, len(sel.Representatives))
+	for _, f := range sel.Representatives {
+		repStats[f] = sim.SimulateFrame(f)
+	}
+	est, err := sel.Estimate(repStats)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return est
 }

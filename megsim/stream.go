@@ -340,7 +340,7 @@ func SampleStreaming(ctx context.Context, tr *Trace, opts StreamingOptions, gpu 
 	}
 	run.Selection = sel
 
-	// Phase 2 fixed point, mirroring SampleResilientPrepared: simulate
+	// Phase 2 fixed point, mirroring SamplePrepared: simulate
 	// the plan; every fresh quarantine re-plans with the next alternate
 	// on the stratum's ladder; terminates because each round either
 	// quarantines a new frame or requests nothing.
