@@ -2,7 +2,7 @@
 # runs: vet, build, race-enabled tests, the tile-parallel determinism
 # goldens, the differential validation oracle, the coverage floors, a
 # one-iteration bench smoke and short fuzz smokes of
-# every fuzz target.
+# every fuzz target, plus the tests of the nested benchmark module.
 
 GO ?= go
 
@@ -21,9 +21,9 @@ BENCHCOUNT ?= 5
 COVER_FLOORS ?= check:85 resilience:85 serve:85 fabric:85 stream:85 chaos:85
 COVER_PACKAGES := $(foreach pf,$(COVER_FLOORS),$(firstword $(subst :, ,$(pf))))
 
-.PHONY: ci vet build test race determinism resilience serve fabric stream chaos validate cover-check $(addprefix cover-check-,$(COVER_PACKAGES)) bench bench-tbr bench-cluster bench-check bench-smoke tile-bench-smoke fuzz-smoke
+.PHONY: ci vet build test race determinism resilience serve fabric stream chaos validate e2ebench-test cover-check $(addprefix cover-check-,$(COVER_PACKAGES)) bench bench-tbr bench-cluster bench-check bench-smoke tile-bench-smoke fuzz-smoke
 
-ci: vet build race determinism resilience serve fabric stream chaos validate cover-check bench-check bench-smoke tile-bench-smoke fuzz-smoke
+ci: vet build race determinism resilience serve fabric stream chaos validate e2ebench-test cover-check bench-check bench-smoke tile-bench-smoke fuzz-smoke
 
 vet:
 	$(GO) vet ./...
@@ -118,6 +118,12 @@ stream:
 # report lands in results/validate.json.
 validate:
 	$(GO) run -race ./cmd/experiments validate -seeds 1,2,3 -out results/validate.json
+
+# The end-to-end campaign benchmark under e2ebench/ is a nested Go
+# module (it builds against this one through a local replace), so the
+# root `go test ./...` never reaches it. Run its tests offline.
+e2ebench-test:
+	cd e2ebench && GOPROXY=off GOTOOLCHAIN=local $(GO) test ./...
 
 # Coverage floors: cover-check runs cover-check-<pkg> for every
 # package in COVER_FLOORS; each fails when ./internal/<pkg> statement

@@ -41,10 +41,12 @@ func runValidate(args []string, stdout io.Writer) error {
 		return err
 	}
 
+	gpu := tbr.DefaultConfig()
+	gpu.TileWorkers = *tileWorkers
 	cfg := check.OracleConfig{
-		Workers:     *workers,
-		TileWorkers: *tileWorkers,
-		Tolerance:   check.DefaultTolerance().Scaled(*tolScale),
+		GPU:       gpu,
+		Workers:   *workers,
+		Tolerance: check.DefaultTolerance().Scaled(*tolScale),
 		Faults: tbr.FaultConfig{
 			DropTileRate:      *faultDrop,
 			DuplicateTileRate: *faultDup,

@@ -19,7 +19,6 @@ import (
 
 	"repro/internal/gltrace"
 	"repro/internal/obs"
-	"repro/internal/pool"
 	"repro/internal/shader"
 )
 
@@ -77,12 +76,11 @@ func (p proceduralSampler) Sample(unit int, u, v float64, f shader.FilterMode) f
 // per-frame fragment-count histogram ("funcsim.frame_fragments"); a nil
 // registry records nothing.
 //
-// Frames are characterized in parallel on GOMAXPROCS workers, each
-// claiming frame indexes and profiling them with its own Streamer
-// clone straight into res.Profiles[f]. Every frame starts from cleared
-// depth and binding state, so a profile does not depend on which worker
-// produced it or in what order; the obs counters are recorded after the
-// join, in frame order, so the registry does not either.
+// Frames are characterized frame-parallel through one
+// Streamer.ProfileRange over the whole trace, straight into
+// res.Profiles; the obs counters are recorded after the join, in frame
+// order, so neither the profiles nor the registry depend on which
+// worker profiled which frame.
 func RunObs(trace *gltrace.Trace, reg *obs.Registry) (*Result, error) {
 	st, err := NewStreamer(trace)
 	if err != nil {
@@ -91,15 +89,10 @@ func RunObs(trace *gltrace.Trace, reg *obs.Registry) (*Result, error) {
 	res := &Result{Trace: trace.Name}
 	res.VSStatic, res.FSStatic = st.Static()
 	res.Profiles = make([]FrameProfile, trace.NumFrames())
-	_, err = pool.Run(context.TODO(), 0, len(res.Profiles), func(w int) (func(int), error) {
-		ws := st
-		if w > 0 {
-			ws = st.clone()
+	if len(res.Profiles) > 0 {
+		if err := st.ProfileRange(context.Background(), res.Profiles, 0); err != nil {
+			return nil, err
 		}
-		return func(f int) { ws.profileInto(&res.Profiles[f], &trace.Frames[f], f) }, nil
-	})
-	if err != nil {
-		return nil, err
 	}
 
 	var (

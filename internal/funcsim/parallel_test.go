@@ -2,7 +2,10 @@ package funcsim
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"math"
+	"reflect"
 	"runtime"
 	"testing"
 
@@ -69,9 +72,80 @@ func TestRunObsParallelMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestProfileRangeMatchesProfileAt: every window ProfileRange accepts
+// — a single frame, an odd size, one ending on the last frame, the
+// whole trace — yields profiles byte-identical to a serial ProfileAt
+// loop over the same frames, on every Table II game. Windows run back
+// to back on one streamer, so its cached worker clones are reused
+// across windows of different sizes. Empty and out-of-range windows
+// return errors and leave dst untouched.
+func TestProfileRangeMatchesProfileAt(t *testing.T) {
+	for _, alias := range workload.Aliases() {
+		tr := workload.MustGenerate(workload.Profiles[alias], workload.TestScale)
+		n := tr.NumFrames()
+		want := serialRun(t, tr, nil).Profiles
+		st, err := NewStreamer(tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, w := range []struct{ first, size int }{
+			{n / 2, 1}, {3, 37}, {n - 10, 10}, {0, n}, {n - 1, 1}, {1, 37},
+		} {
+			dst := make([]FrameProfile, w.size)
+			if err := st.ProfileRange(context.Background(), dst, w.first); err != nil {
+				t.Fatalf("%s window [%d,+%d): %v", alias, w.first, w.size, err)
+			}
+			got, ref := mustJSON(t, dst), mustJSON(t, want[w.first:w.first+w.size])
+			if !bytes.Equal(got, ref) {
+				t.Fatalf("%s window [%d,+%d) differs from the serial ProfileAt loop", alias, w.first, w.size)
+			}
+		}
+
+		sentinel := []FrameProfile{{Frame: -7, Checksum: 42}, {Frame: -8}, {Frame: -9}}
+		for _, w := range []struct{ first, size int }{
+			{0, 0}, {-1, 1}, {n, 1}, {n - 2, 3}, {-3, 3},
+		} {
+			dst := make([]FrameProfile, w.size)
+			copy(dst, sentinel)
+			if err := st.ProfileRange(context.Background(), dst, w.first); err == nil {
+				t.Fatalf("%s window [%d,+%d) of %d frames: no error", alias, w.first, w.size, n)
+			}
+			if !reflect.DeepEqual(dst, sentinel[:w.size]) {
+				t.Fatalf("%s rejected window [%d,+%d) wrote dst", alias, w.first, w.size)
+			}
+		}
+	}
+}
+
+// allocsPerRun is testing.AllocsPerRun without its GOMAXPROCS(1) pin, so
+// ProfileRange's pool runs more than one worker while it is measured.
+// It returns the smallest per-call integer mean of five batches of runs
+// calls of f, after one warm-up call. Other goroutines only ever add
+// allocations — a pool goroutine that has not yet exited when the next
+// call starts makes the runtime allocate a fresh one — so the minimum
+// filters that noise while an allocation made on every call survives.
+func allocsPerRun(runs int, f func()) uint64 {
+	f()
+	best := uint64(math.MaxUint64)
+	for range 5 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			f()
+		}
+		runtime.ReadMemStats(&after)
+		best = min(best, (after.Mallocs-before.Mallocs)/uint64(runs))
+	}
+	return best
+}
+
 // TestProfileAtSteadyStateAllocatesNothing: once the streamer's scratch
 // has grown to the trace's largest draw, re-profiling frames into an
-// already-sized FrameProfile allocates nothing.
+// already-sized FrameProfile allocates nothing. The windowed form
+// reuses its cached clones the same way: a repeated ProfileRange into an
+// already-sized dst allocates only the pool's constant per-call cost,
+// the same for a 64-frame window as for an 8-frame one, at a fixed
+// worker count.
 func TestProfileAtSteadyStateAllocatesNothing(t *testing.T) {
 	tr := workload.MustGenerate(workload.Profiles["bbr1"], workload.TestScale)
 	st, err := NewStreamer(tr)
@@ -89,5 +163,31 @@ func TestProfileAtSteadyStateAllocatesNothing(t *testing.T) {
 	profileAll() // grow the scratch and size the profile
 	if allocs := testing.AllocsPerRun(5, profileAll); allocs != 0 {
 		t.Fatalf("re-profiling %d frames allocated %.1f times per pass, want 0", tr.NumFrames(), allocs)
+	}
+
+	// Four workers on any host, so both windows use the same pool shape.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	// Walk the whole trace a few times first: which clone claims which
+	// frame varies, so this grows every clone's scratch towards the
+	// largest draw. A straggling growth costs a few allocations once,
+	// which allocsPerRun's integer mean over 10 calls absorbs.
+	dst8, dst64 := make([]FrameProfile, 8), make([]FrameProfile, 64)
+	for range 3 {
+		for first := 0; first+len(dst8) <= tr.NumFrames(); first += len(dst8) {
+			if err := st.ProfileRange(context.Background(), dst8, first); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	one := func(dst []FrameProfile) func() {
+		return func() {
+			if err := st.ProfileRange(context.Background(), dst, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	a8, a64 := allocsPerRun(10, one(dst8)), allocsPerRun(10, one(dst64))
+	if a8 != a64 {
+		t.Fatalf("a repeated ProfileRange allocated %d times for 8 frames but %d for 64: allocation scales with the window", a8, a64)
 	}
 }

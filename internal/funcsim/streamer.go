@@ -1,32 +1,33 @@
 package funcsim
 
 import (
+	"context"
 	"fmt"
 	"math/bits"
 
 	"repro/internal/geom"
 	"repro/internal/gltrace"
+	"repro/internal/pool"
 	"repro/internal/raster"
 	"repro/internal/shader"
 )
 
-// Streamer characterizes frames one at a time — the incremental twin of
-// RunObs. It owns the reusable rasterization scratch (depth buffer,
-// triangle buffer, per-draw transform buffer and quad batch), so
+// Streamer characterizes frames of a trace on demand — the incremental
+// twin of RunObs. It owns the reusable rasterization scratch (depth
+// buffer, triangle buffer, per-draw transform buffer and quad batch), so
 // re-profiling a frame into a profile whose count vectors are already
 // sized allocates nothing. Frames are characterized independently: the
 // depth buffer is cleared and all binding state reset at every frame
-// start, so ProfileInto(f) is a pure function of frame f's commands and
-// the trace resources. That independence is what lets RunObs fan frames
-// out over workers, one Streamer clone each.
+// start, so profiling frame f is a pure function of frame f's commands
+// and the trace resources. That independence is what lets ProfileRange
+// fan a window of frames out over workers, one Streamer clone each.
 //
 // This is what lets the streaming sampler (internal/stream) consume an
 // unbounded frame sequence with O(1) characterization state instead of
 // materializing a whole funcsim.Result. A Streamer is not safe for
-// concurrent use; concurrent callers each take a clone.
+// concurrent use.
 type Streamer struct {
-	res    resources
-	trace  *gltrace.Trace // nil in resource mode
+	trace  *gltrace.Trace
 	depth  *raster.DepthBuffer
 	clip   geom.AABB2
 	triBuf []raster.ScreenTriangle
@@ -39,85 +40,35 @@ type Streamer struct {
 
 	vsStatic []shader.Cost
 	fsStatic []shader.Cost
+	// clones are ProfileRange's extra workers, kept so repeated windows
+	// reuse their grown scratch instead of allocating new.
+	clones []*Streamer
 }
 
-// resources is the frame-independent part of a trace: everything a
-// single frame's command stream references.
-type resources struct {
-	name     string
-	viewport geom.Viewport
-	vs, fs   []*shader.Program
-	meshes   []gltrace.Mesh
-	textures []gltrace.Texture
-}
-
-// NewStreamer builds a streamer over a trace's resources. The trace
-// must validate; its frames are profiled on demand with ProfileAt.
+// NewStreamer builds a streamer over a trace. The trace must validate;
+// its frames are profiled on demand with ProfileAt and ProfileRange.
 func NewStreamer(tr *gltrace.Trace) (*Streamer, error) {
 	if err := tr.Validate(); err != nil {
 		return nil, err
 	}
-	return newStreamer(resources{
-		name:     tr.Name,
-		viewport: tr.Viewport,
-		vs:       tr.VertexShaders,
-		fs:       tr.FragmentShaders,
-		meshes:   tr.Meshes,
-		textures: tr.Textures,
-	}, tr)
-}
-
-// NewResourceStreamer builds a streamer from bare resources, for frame
-// streams that arrive without a containing trace (the megsimd
-// chunked-upload endpoint). The resources are validated by wrapping
-// them in a zero-frame trace.
-func NewResourceStreamer(name string, vp geom.Viewport, vs, fs []*shader.Program, meshes []gltrace.Mesh, textures []gltrace.Texture) (*Streamer, error) {
-	probe := &gltrace.Trace{
-		Name:            name,
-		Viewport:        vp,
-		VertexShaders:   vs,
-		FragmentShaders: fs,
-		Meshes:          meshes,
-		Textures:        textures,
-	}
-	if err := probe.Validate(); err != nil {
-		return nil, err
-	}
-	return newStreamer(resources{
-		name: name, viewport: vp, vs: vs, fs: fs, meshes: meshes, textures: textures,
-	}, nil)
-}
-
-func newStreamer(res resources, tr *gltrace.Trace) (*Streamer, error) {
-	s := &Streamer{
-		res:   res,
-		depth: raster.NewDepthBuffer(res.viewport.Width, res.viewport.Height),
-		clip: geom.AABB2{Max: geom.Vec2{
-			X: float64(res.viewport.Width), Y: float64(res.viewport.Height),
-		}},
-	}
-	s.trace = tr
-	for _, p := range res.vs {
+	s := newScratch(tr)
+	for _, p := range tr.VertexShaders {
 		s.vsStatic = append(s.vsStatic, p.StaticCost())
 	}
-	for _, p := range res.fs {
+	for _, p := range tr.FragmentShaders {
 		s.fsStatic = append(s.fsStatic, p.StaticCost())
 	}
 	return s, nil
 }
 
-// clone returns a streamer over the same resources, trace and static
-// costs with its own rasterization scratch, for a concurrent worker.
-// The resources were validated when s was built, so nothing is
-// re-validated.
-func (s *Streamer) clone() *Streamer {
+// newScratch returns a streamer over tr with fresh rasterization
+// scratch and no static costs.
+func newScratch(tr *gltrace.Trace) *Streamer {
+	vp := tr.Viewport
 	return &Streamer{
-		res:      s.res,
-		trace:    s.trace,
-		depth:    raster.NewDepthBuffer(s.res.viewport.Width, s.res.viewport.Height),
-		clip:     s.clip,
-		vsStatic: s.vsStatic,
-		fsStatic: s.fsStatic,
+		trace: tr,
+		depth: raster.NewDepthBuffer(vp.Width, vp.Height),
+		clip:  geom.AABB2{Max: geom.Vec2{X: float64(vp.Width), Y: float64(vp.Height)}},
 	}
 }
 
@@ -127,24 +78,16 @@ func (s *Streamer) clone() *Streamer {
 // the first frame arrives.
 func (s *Streamer) Static() (vs, fs []shader.Cost) { return s.vsStatic, s.fsStatic }
 
-// Name returns the workload name of the streamer's resources.
-func (s *Streamer) Name() string { return s.res.name }
+// Name returns the workload name of the streamer's trace.
+func (s *Streamer) Name() string { return s.trace.Name }
 
-// NumFrames returns the trace length (0 in resource mode).
-func (s *Streamer) NumFrames() int {
-	if s.trace == nil {
-		return 0
-	}
-	return s.trace.NumFrames()
-}
+// NumFrames returns the trace length.
+func (s *Streamer) NumFrames() int { return s.trace.NumFrames() }
 
-// ProfileAt profiles frame f of the streamer's trace into dst. Only
-// valid for trace-backed streamers. The trace was validated whole at
-// NewStreamer, so no per-frame re-validation happens here.
+// ProfileAt profiles frame f of the streamer's trace into dst. The trace
+// was validated whole at NewStreamer, so no per-frame re-validation
+// happens here.
 func (s *Streamer) ProfileAt(dst *FrameProfile, f int) error {
-	if s.trace == nil {
-		return fmt.Errorf("funcsim: streamer has no trace (resource mode)")
-	}
 	if f < 0 || f >= s.trace.NumFrames() {
 		return fmt.Errorf("funcsim: frame %d out of range [0,%d)", f, s.trace.NumFrames())
 	}
@@ -152,24 +95,40 @@ func (s *Streamer) ProfileAt(dst *FrameProfile, f int) error {
 	return nil
 }
 
-// ProfileInto characterizes one frame's command stream into dst,
-// reusing dst's count slices when their lengths match. The frame's
-// commands are validated against the streamer's resources first —
-// malformed frames (out-of-range mesh/shader/texture references, draws
-// with no program bound) return an error and leave dst untouched, so a
-// hostile stream can never panic the rasterizer.
-func (s *Streamer) ProfileInto(dst *FrameProfile, frame *gltrace.Frame, index int) error {
-	if err := s.validateFrame(frame); err != nil {
-		return err
+// ProfileRange profiles frames first … first+len(dst)-1 into dst, dst[i]
+// receiving frame first+i, frame-parallel on GOMAXPROCS pool workers.
+// Worker 0 is s itself; the others are clones cached on s, so repeated
+// windows into already-sized profiles allocate nothing per frame. Each
+// profile is a pure function of its frame, so dst is byte-identical to
+// a serial ProfileAt loop whichever worker profiled which frame.
+//
+// An empty or out-of-range window returns an error before touching dst.
+// Cancelling ctx stops the pool at its next claim and returns ctx's
+// error; dst is then only partly written and must be discarded.
+func (s *Streamer) ProfileRange(ctx context.Context, dst []FrameProfile, first int) error {
+	n := len(dst)
+	if n == 0 || first < 0 || first > s.trace.NumFrames()-n {
+		return fmt.Errorf("funcsim: frame window [%d,%d) empty or out of range [0,%d)", first, first+n, s.trace.NumFrames())
 	}
-	s.profileInto(dst, frame, index)
-	return nil
+	workers := pool.Workers(0, n)
+	for len(s.clones) < workers-1 {
+		s.clones = append(s.clones, newScratch(s.trace))
+	}
+	_, err := pool.Run(ctx, workers, n, func(w int) (func(int), error) {
+		ws := s
+		if w > 0 {
+			ws = s.clones[w-1]
+		}
+		return func(i int) { ws.profileInto(&dst[i], &s.trace.Frames[first+i], first+i) }, nil
+	})
+	return err
 }
 
-// profileInto is ProfileInto after validation: the shared per-frame
-// characterization body RunObs and the streaming sampler both execute.
+// profileInto characterizes one frame's command stream into dst,
+// reusing dst's count slices when their lengths match: the per-frame
+// body ProfileAt and ProfileRange share.
 func (s *Streamer) profileInto(dst *FrameProfile, frame *gltrace.Frame, index int) {
-	*dst = FrameProfile{Frame: index, VSCount: resizeU64(dst.VSCount, len(s.res.vs)), FSCount: resizeU64(dst.FSCount, len(s.res.fs))}
+	*dst = FrameProfile{Frame: index, VSCount: resizeU64(dst.VSCount, len(s.trace.VertexShaders)), FSCount: resizeU64(dst.FSCount, len(s.trace.FragmentShaders))}
 	s.depth.Clear()
 
 	curVS, curFS := -1, -1
@@ -186,23 +145,23 @@ func (s *Streamer) profileInto(dst *FrameProfile, frame *gltrace.Frame, index in
 		case gltrace.CmdClear:
 			s.depth.Clear()
 		case gltrace.CmdDraw:
-			mesh := &s.res.meshes[cmd.Mesh]
+			mesh := &s.trace.Meshes[cmd.Mesh]
 			dst.VSCount[curVS] += uint64(len(mesh.Vertices))
 
 			// Functionally execute the bound programs once per draw
 			// with draw-derived inputs; lock-step warps make all
 			// invocations of a draw structurally identical, so one
 			// execution yields the per-draw functional digest.
-			s.res.vs[curVS].ExecInto(&s.vsOut, shader.Regs{
+			s.trace.VertexShaders[curVS].ExecInto(&s.vsOut, shader.Regs{
 				cmd.MVP[3], cmd.MVP[7], cmd.MVP[11], cmd.DepthBias,
 			}, nil)
 			s.sampler.tex = curTex
-			s.res.fs[curFS].ExecInto(&s.fsOut, shader.Regs{
+			s.trace.FragmentShaders[curFS].ExecInto(&s.fsOut, shader.Regs{
 				cmd.MVP[3], cmd.MVP[7], 0.5, 0.5,
 			}, &s.sampler)
 			dst.Checksum = mixChecksum(dst.Checksum, s.vsOut.Regs, s.fsOut.Regs)
 
-			tris, gstats := raster.ProcessDrawScratch(mesh, cmd.MVP, s.res.viewport, cmd.DepthBias, s.triBuf[:0], &s.draw)
+			tris, gstats := raster.ProcessDrawScratch(mesh, cmd.MVP, s.trace.Viewport, cmd.DepthBias, s.triBuf[:0], &s.draw)
 			s.triBuf = tris
 			dst.PrimsIn += uint64(gstats.PrimsIn)
 			dst.PrimsVisible += uint64(gstats.Visible)
@@ -227,43 +186,6 @@ func (s *Streamer) profileInto(dst *FrameProfile, frame *gltrace.Frame, index in
 			}
 		}
 	}
-}
-
-// validateFrame checks one frame's referential integrity against the
-// streamer's resources — the per-frame slice of gltrace.Trace.Validate.
-func (s *Streamer) validateFrame(frame *gltrace.Frame) error {
-	bound := false
-	for ci, cmd := range frame.Commands {
-		switch cmd.Op {
-		case gltrace.CmdBindProgram:
-			if cmd.VS < 0 || cmd.VS >= len(s.res.vs) {
-				return fmt.Errorf("funcsim: cmd %d binds missing vertex shader %d", ci, cmd.VS)
-			}
-			if cmd.FS < 0 || cmd.FS >= len(s.res.fs) {
-				return fmt.Errorf("funcsim: cmd %d binds missing fragment shader %d", ci, cmd.FS)
-			}
-			bound = true
-		case gltrace.CmdBindTexture:
-			if cmd.Texture < 0 || cmd.Texture >= len(s.res.textures) {
-				return fmt.Errorf("funcsim: cmd %d binds missing texture %d", ci, cmd.Texture)
-			}
-			if cmd.Unit < 0 || cmd.Unit >= 8 {
-				return fmt.Errorf("funcsim: cmd %d binds sampler unit %d out of range", ci, cmd.Unit)
-			}
-		case gltrace.CmdDraw:
-			if cmd.Mesh < 0 || cmd.Mesh >= len(s.res.meshes) {
-				return fmt.Errorf("funcsim: cmd %d draws missing mesh %d", ci, cmd.Mesh)
-			}
-			if !bound {
-				return fmt.Errorf("funcsim: cmd %d draws with no program bound", ci)
-			}
-		case gltrace.CmdClear:
-			// always valid
-		default:
-			return fmt.Errorf("funcsim: cmd %d has unknown op %d", ci, int(cmd.Op))
-		}
-	}
-	return nil
 }
 
 func resizeU64(s []uint64, n int) []uint64 {

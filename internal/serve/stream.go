@@ -58,6 +58,8 @@ type streamSession struct {
 	tr       *gltrace.Trace
 	streamer *funcsim.Streamer
 	ing      *stream.Ingestor
+	// batch is the reused per-batch profile buffer (guarded by mu).
+	batch []funcsim.FrameProfile
 	// members is the per-frame payload the session pins: exactly the
 	// frames currently sitting in some stratum reservoir. The
 	// ingestor's OnEvict hook releases entries the moment a frame stops
@@ -366,14 +368,16 @@ func (s *Server) handleStreamChunk(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Ingest in bounded batches, dropping the session lock between them
-	// so status polls interleave with even the largest chunk. Ingest
-	// order stays the workload's frame order whatever the interleaving:
-	// each batch replays from wherever the ingestor's frame cursor
-	// stands when the lock is reacquired.
+	// so status polls interleave with even the largest chunk. Each batch
+	// is characterized frame-parallel, then pinned and ingested in frame
+	// order, all under the lock. Ingest order stays the workload's frame
+	// order whatever the interleaving: each batch replays from wherever
+	// the ingestor's frame cursor stands when the lock is reacquired. A
+	// batch whose characterization fails (or whose client went away) is
+	// discarded whole, so the ingestor never sees a partial batch.
 	var (
 		st       StreamStatus
 		ingested int
-		prof     funcsim.FrameProfile
 	)
 	for ingested < creq.Count {
 		sess.mu.Lock()
@@ -403,17 +407,22 @@ func (s *Server) handleStreamChunk(w http.ResponseWriter, r *http.Request) {
 		if n > streamIngestBatch {
 			n = streamIngestBatch
 		}
-		for i := 0; i < n; i++ {
-			f := sess.ing.Frames()
-			if err := sess.streamer.ProfileAt(&prof, f); err != nil {
-				sess.mu.Unlock()
-				writeError(w, http.StatusInternalServerError, fmt.Sprintf("frame %d: %v", f, err))
-				return
-			}
+		first := sess.ing.Frames()
+		if cap(sess.batch) < n {
+			sess.batch = make([]funcsim.FrameProfile, n)
+		}
+		batch := sess.batch[:n]
+		if err := sess.streamer.ProfileRange(r.Context(), batch, first); err != nil {
+			sess.mu.Unlock()
+			writeError(w, http.StatusInternalServerError, fmt.Sprintf("frames [%d,%d): %v", first, first+n, err))
+			return
+		}
+		for i := range batch {
+			f := first + i
 			// Pin before Add: the eviction hook may release this very frame
 			// during ingest (it never made any reservoir).
 			sess.members[f] = true
-			if err := sess.ing.Add(&prof); err != nil {
+			if err := sess.ing.Add(&batch[i]); err != nil {
 				delete(sess.members, f)
 				sess.mu.Unlock()
 				writeError(w, http.StatusInternalServerError, fmt.Sprintf("frame %d: %v", f, err))

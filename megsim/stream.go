@@ -85,6 +85,12 @@ type StreamingOptions struct {
 // DefaultStreamCheckpointEvery is the default ingest checkpoint cadence.
 const DefaultStreamCheckpointEvery = 16
 
+// streamWindow is how many frames SampleStreaming characterizes per
+// frame-parallel ProfileRange call before ingesting them in order: wide
+// enough to keep every core busy between ingest stretches, small
+// enough that the look-ahead profiles stay a few hundred KiB.
+const streamWindow = 256
+
 // StreamingRun is the outcome of a streaming sampling campaign.
 type StreamingRun struct {
 	// Trace is the analyzed workload.
@@ -122,10 +128,11 @@ func (r *StreamingRun) ReductionFactor() float64 { return r.Selection.ReductionF
 func (r *StreamingRun) Degraded() bool { return r.Degradation.Degraded() }
 
 // SampleStreaming executes the streaming MEGsim flow over a trace
-// replayed as a frame stream: frames are characterized and folded into
-// the online stratifier one at a time — the full N × D matrix is never
-// built — then the finalized strata's representatives are simulated
-// under the resilient supervisor and extrapolated by stratum weight.
+// replayed as a frame stream: frames are characterized frame-parallel a
+// window at a time and folded into the online stratifier one at a time,
+// in frame order — the full N × D matrix is never built — then the
+// finalized strata's representatives are simulated under the resilient
+// supervisor and extrapolated by stratum weight.
 // Memory stays O(strata · reservoir) regardless of trace length.
 //
 // With Resilience.CheckpointPath set the campaign is killable anywhere:
@@ -271,58 +278,76 @@ func SampleStreaming(ctx context.Context, tr *Trace, opts StreamingOptions, gpu 
 		return r, rerr
 	}
 
-	// Phase 1: ingest the stream, checkpointing strata state and — in
-	// eager mode — launching representative simulations as they settle.
-	var prof funcsim.FrameProfile
-	for f := run.ResumedFrames; f < numFrames; f++ {
-		if err := ctx.Err(); err != nil {
-			ferr := saveIngest()
-			if ferr == nil {
-				ferr = err
-			}
-			return run, ferr
+	// eagerRound simulates the representatives the current strata plan
+	// that have not run yet. Eager observability goes to a discardable
+	// twin of the real registry when checkpointing: the per-frame deltas
+	// persist in the records and merge into the real registry exactly
+	// once, during the final phase — identically in interrupted and
+	// uninterrupted runs. Without a checkpoint there is no adoption
+	// path, so merge directly.
+	eagerRound := func() error {
+		sel, err := ing.Finalize()
+		if err != nil {
+			return err
 		}
-		if err := streamer.ProfileAt(&prof, f); err != nil {
+		var todo []int
+		for _, fr := range sel.Plan(quarantined) {
+			if fr >= 0 {
+				if _, done := repStats[fr]; !done {
+					todo = append(todo, fr)
+				}
+			}
+		}
+		if len(todo) == 0 {
+			return nil
+		}
+		parent := rcfg.Obs
+		if hasCk {
+			parent = rcfg.Obs.NewLocal()
+		}
+		r, err := superviseRound(todo, parent)
+		if r != nil && !hasCk {
+			mergeSupervision(run.Supervision, r, false)
+		}
+		return err
+	}
+
+	// Phase 1: characterize the stream a window at a time, frame-
+	// parallel, then ingest the window strictly in frame order,
+	// checkpointing strata state and — in eager mode — launching
+	// representative simulations as they settle. A stop mid-window
+	// (cancellation, a failed eager round) discards the frames profiled
+	// ahead of the ingest cursor, so the checkpoint snapshot sits at
+	// exactly the ingested frame count.
+	window := make([]funcsim.FrameProfile, min(streamWindow, numFrames-run.ResumedFrames))
+	for lo := run.ResumedFrames; lo < numFrames; lo += len(window) {
+		window = window[:min(len(window), numFrames-lo)]
+		// A cancelled window is left for the ingest loop's ctx check,
+		// which checkpoints the frames ingested so far and stops before
+		// touching the partly written window.
+		if err := streamer.ProfileRange(ctx, window, lo); err != nil && ctx.Err() == nil {
 			return run, fmt.Errorf("megsim: streaming characterization: %w", err)
 		}
-		if err := ing.Add(&prof); err != nil {
-			return run, fmt.Errorf("megsim: frame %d: %w", f, err)
-		}
-		if hasCk && every > 0 && (f+1)%every == 0 {
-			if err := saveIngest(); err != nil {
-				return run, err
+		for i := range window {
+			f := lo + i
+			if err := ctx.Err(); err != nil {
+				ferr := saveIngest()
+				if ferr == nil {
+					ferr = err
+				}
+				return run, ferr
 			}
-		}
-		if opts.EagerEvery > 0 && (f+1)%opts.EagerEvery == 0 && f+1 < numFrames {
-			sel, serr := ing.Finalize()
-			if serr != nil {
-				return run, serr
+			if err := ing.Add(&window[i]); err != nil {
+				return run, fmt.Errorf("megsim: frame %d: %w", f, err)
 			}
-			var todo []int
-			for _, fr := range sel.Plan(quarantined) {
-				if fr >= 0 {
-					if _, done := repStats[fr]; !done {
-						todo = append(todo, fr)
-					}
+			if hasCk && every > 0 && (f+1)%every == 0 {
+				if err := saveIngest(); err != nil {
+					return run, err
 				}
 			}
-			if len(todo) > 0 {
-				// Eager observability goes to a discardable twin of the
-				// real registry when checkpointing: the per-frame deltas
-				// persist in the records and merge into the real registry
-				// exactly once, during the final phase — identically in
-				// interrupted and uninterrupted runs. Without a checkpoint
-				// there is no adoption path, so merge directly.
-				parent := rcfg.Obs
-				if hasCk {
-					parent = rcfg.Obs.NewLocal()
-				}
-				r, rerr := superviseRound(todo, parent)
-				if r != nil && !hasCk {
-					mergeSupervision(run.Supervision, r, false)
-				}
-				if rerr != nil {
-					return run, rerr
+			if opts.EagerEvery > 0 && (f+1)%opts.EagerEvery == 0 && f+1 < numFrames {
+				if err := eagerRound(); err != nil {
+					return run, err
 				}
 			}
 		}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -201,5 +202,59 @@ func TestSampleStreamingQuarantineDegrades(t *testing.T) {
 	}
 	if _, ok := srun.RepresentativeStats[victim]; ok {
 		t.Fatalf("quarantined frame %d was simulated", victim)
+	}
+}
+
+// TestSampleStreamingCancelMidWindow: a campaign cancelled during an
+// eager phase-2 round — while phase 1 holds frames characterized ahead
+// of the ingest cursor in its current window — checkpoints at exactly
+// the ingested frame count, discarding the look-ahead, and its resume
+// finishes byte-identical to an uninterrupted run. EagerEvery is not a
+// multiple of the characterization window, so the round (and the kill)
+// lands mid-window.
+func TestSampleStreamingCancelMidWindow(t *testing.T) {
+	tr := megsim.MustGenerateBenchmark("jjo", testScale())
+	gpu := megsim.DefaultGPUConfig()
+	const eager = 37
+	if tr.NumFrames() <= 2*eager {
+		t.Fatalf("trace has %d frames, want more than %d", tr.NumFrames(), 2*eager)
+	}
+	opts := func(ckpt string, resume bool, runner megsim.ResilientFrameFunc) megsim.StreamingOptions {
+		return megsim.StreamingOptions{
+			EagerEvery: eager,
+			Runner:     runner,
+			Resilience: megsim.ResilienceConfig{CheckpointPath: ckpt, Resume: resume},
+		}
+	}
+
+	ref, err := megsim.SampleStreaming(context.Background(), tr, opts(filepath.Join(t.TempDir(), "ref.ckpt"), false, nil), gpu)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refBytes := normalizeReport(serve.NewStreamingCampaignReport(ref, 0))
+
+	ckpt := filepath.Join(t.TempDir(), "stream.ckpt")
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	killer := func(context.Context, int, *megsim.ObsRegistry) (megsim.FrameStats, error) {
+		cancel()
+		return megsim.FrameStats{}, context.Canceled
+	}
+	if _, err := megsim.SampleStreaming(ctx, tr, opts(ckpt, false, killer), gpu); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled run returned %v, want context.Canceled", err)
+	}
+
+	res, err := megsim.SampleStreaming(context.Background(), tr, opts(ckpt, true, nil), gpu)
+	if err != nil {
+		t.Fatalf("resumed run: %v", err)
+	}
+	if res.StreamResumeErr != nil {
+		t.Fatalf("stream resume fell back: %v", res.StreamResumeErr)
+	}
+	if res.ResumedFrames != eager {
+		t.Fatalf("resumed %d ingest frames, want exactly %d (the frames ingested before the kill)", res.ResumedFrames, eager)
+	}
+	if got := normalizeReport(serve.NewStreamingCampaignReport(res, 0)); !bytes.Equal(got, refBytes) {
+		t.Fatalf("resumed report not byte-identical to uninterrupted run:\n%s\n---\n%s", got, refBytes)
 	}
 }
