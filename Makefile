@@ -154,22 +154,28 @@ bench-cluster:
 	$(GO) test -run '^$$' -bench . -benchtime $(BENCHTIME) -count $(BENCHCOUNT) ./internal/cluster > results/BENCH_cluster.txt
 	$(GO) run ./cmd/benchjson -in results/BENCH_cluster.txt -out results/BENCH_cluster.json
 
-# Benchmark regression gate: rerun the tbr suite and compare against
-# the committed baseline with cmd/benchjson -check. Allocation counts
-# gate tightly (they are deterministic — a reintroduced per-tile
-# allocation fails regardless of machine weather); wall clock gates
-# primarily through the tile-workers=4 / serial ratio measured within
-# the SAME run, which cancels host-speed variation (shared CI hosts
-# have been observed to swing near 2x on an identical binary), plus a
-# deliberately generous absolute backstop for gross regressions. The
-# fresh run is left in results/BENCH_tbr.new.txt for benchstat
-# comparison against `jq -r '.raw[]' results/BENCH_tbr.json`.
+# Benchmark regression gate: rerun the tbr and cluster suites and
+# compare each against its committed baseline with cmd/benchjson
+# -check. Allocation counts gate tightly (they are deterministic — a
+# reintroduced per-tile allocation fails regardless of machine
+# weather); wall clock gates primarily through the tile-workers=4 /
+# serial ratio measured within the SAME run, which cancels host-speed
+# variation (shared CI hosts have been observed to swing near 2x on an
+# identical binary), plus a deliberately generous absolute backstop for
+# gross regressions. The fresh runs are left in
+# results/BENCH_{tbr,cluster}.new.txt for benchstat comparison against
+# `jq -r '.raw[]' results/BENCH_{tbr,cluster}.json`.
 #
 # -max-alloc-growth 2.0: the frame benchmarks' allocs/op is fixed
 # setup amortized over a small, benchtime-dependent b.N, so it jitters
 # ~50-80; losing arena reuse jumps it to several hundred (the
 # pre-arena path measured ~547/op at tile-workers=4), which 2x of a
 # ~50-70 baseline still catches with an order of magnitude to spare.
+#
+# The cluster suite has no same-run ratio pair; it gates allocs/op at
+# the same 2.0: a search's allocation count moves by a few per cent with
+# the number of goroutines a k-means step fans out to, while a per-point
+# or per-iteration allocation multiplies it.
 #
 # -max-ratio-growth 1.5: serial and tile-workers=4 run about a minute
 # apart inside one `go test` invocation, so the machine-weather window
@@ -183,6 +189,9 @@ bench-check:
 		-ratio 'BenchmarkTileParallelRaster/tile-workers=4:BenchmarkTileParallelRaster/serial' \
 		-max-alloc-growth 2.0 -max-ratio-growth 1.5 \
 		-in results/BENCH_tbr.new.txt
+	$(GO) test -run '^$$' -bench . -benchtime $(BENCHTIME) -count $(BENCHCOUNT) ./internal/cluster > results/BENCH_cluster.new.txt
+	$(GO) run ./cmd/benchjson -check -baseline results/BENCH_cluster.json \
+		-max-alloc-growth 2.0 -in results/BENCH_cluster.new.txt
 
 # One iteration of every benchmark: catches bitrot in the bench suite
 # without paying for stable measurements.

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"repro/internal/obs"
+	"repro/internal/pool"
 	"repro/internal/xmath/stats"
 )
 
@@ -157,48 +158,56 @@ func Search(data [][]float64, cfg SearchConfig, rng *stats.RNG) (SearchResult, e
 		cIters = cfg.Obs.Counter("cluster.kmeans.iterations")
 		hIters = cfg.Obs.Histogram("cluster.kmeans.iterations_per_run")
 	)
-	record := func(res Result) Result {
-		cRuns.Inc()
-		cIters.Add(uint64(res.Iterations))
-		hIters.Observe(uint64(res.Iterations))
-		return res
-	}
 
 	var (
 		results  []Result
 		scores   []float64
 		bestSeen = math.Inf(-1)
 		dry      = 0
-		prevRes  Result
+		prev     carry
 	)
 	for k := 1; k <= maxK; k++ {
-		best := Result{}
-		bestWCSS := math.Inf(1)
 		fresh := 1
 		if k <= freshRestartMaxK {
 			fresh = restarts
 		} else if k%freshRestartEvery != 0 {
 			fresh = 0
 		}
-		for r := 0; r < fresh; r++ {
-			res := record(KMeans(data, k, rng.Split(), cfg.MaxIterations))
-			if res.WCSS < bestWCSS {
-				best, bestWCSS = res, res.WCSS
-			}
-		}
+		// The fresh k-means++ restarts, then (for k > 1) an x-means-style
+		// warm start that refines the previous best clustering with one
+		// extra centroid. The warm start keeps WCSS (near-)monotone in k
+		// so the BIC stop rule fires on the real optimum, not on a
+		// k-means local-minimum artifact. The runs are independent, so
+		// they run concurrently; their RNG streams are split, and their
+		// results recorded and compared, in this fixed order.
+		runs := make([]carry, fresh)
 		if k > 1 {
-			// x-means-style warm start: refine the previous best
-			// clustering with one extra centroid. This keeps WCSS
-			// (near-)monotone in k so the BIC stop rule fires on the
-			// real optimum, not on a k-means local-minimum artifact.
-			res := record(KMeansSeeded(data, k, rng.Split(), cfg.MaxIterations, prevRes.Centroids))
-			if res.WCSS < bestWCSS {
-				best, bestWCSS = res, res.WCSS
+			runs = append(runs, carry{})
+		}
+		rngs := make([]*stats.RNG, len(runs))
+		for r := range rngs {
+			rngs[r] = rng.Split()
+		}
+		pool.Each(len(runs), func(r int) {
+			if r < fresh {
+				runs[r] = kmeans(data, k, rngs[r], cfg.MaxIterations, nil, nil)
+			} else {
+				runs[r] = kmeans(data, k, rngs[r], cfg.MaxIterations, nil, &prev)
+			}
+		})
+		best := carry{}
+		bestWCSS := math.Inf(1)
+		for _, run := range runs {
+			cRuns.Inc()
+			cIters.Add(uint64(run.res.Iterations))
+			hIters.Observe(uint64(run.res.Iterations))
+			if run.res.WCSS < bestWCSS {
+				best, bestWCSS = run, run.res.WCSS
 			}
 		}
-		prevRes = best
-		score := BIC(data, best)
-		results = append(results, best)
+		prev = best
+		score := BIC(data, best.res)
+		results = append(results, best.res)
 		scores = append(scores, score)
 		if math.IsInf(score, 1) {
 			// Perfect fit: no larger k can do better.

@@ -3,6 +3,7 @@ package cluster
 import (
 	"encoding/binary"
 	"math"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/xmath/linalg"
@@ -10,9 +11,15 @@ import (
 )
 
 // scanAssigner is the reference assignment step: every point scans
-// every centroid, first index wins ties. The bounded step must
-// reproduce it exactly.
+// every centroid, first index wins ties. It ignores the bounds seeding
+// hands it and keeps none, so a search on it also runs every warm
+// start's seeding as a full scan. The bounded step must reproduce it
+// exactly.
 type scanAssigner struct{}
+
+func (scanAssigner) start([][]float64, []float64, []float64) {}
+
+func (scanAssigner) lowerBounds() []float64 { return nil }
 
 func (scanAssigner) assignAndSum(data, centroids [][]float64, assign, sizes []int, force bool) bool {
 	changed := false
@@ -37,55 +44,79 @@ func (scanAssigner) assignAndSum(data, centroids [][]float64, assign, sizes []in
 	return changed || force
 }
 
-// lockstepAssigner runs the bounded step and the reference scan on the
-// same inputs at every Lloyd iteration and fails the test on the first
-// divergence in assignments, sizes or the changed flag.
-type lockstepAssigner struct {
-	t       testing.TB
-	bounded *bounds
-	steps   *int
+// lockstepCheck counts the assignment steps a lockstep assigner has
+// checked and records the first divergence it saw. The runs of one BIC
+// step share it from concurrent goroutines.
+type lockstepCheck struct {
+	t      testing.TB
+	steps  atomic.Int64
+	failed atomic.Bool
 }
 
+// diverged reports a divergence with t.Errorf, which is safe off the
+// test goroutine; only the first one is reported.
+func (c *lockstepCheck) diverged(format string, args ...any) {
+	if c.failed.CompareAndSwap(false, true) {
+		c.t.Errorf(format, args...)
+	}
+}
+
+// lockstepAssigner runs the bounded step and the reference scan on the
+// same inputs at every Lloyd iteration, the first one included (which
+// the bounded step starts from seeding's bounds), and reports the first
+// divergence in assignments, sizes or the changed flag.
+type lockstepAssigner struct {
+	check   *lockstepCheck
+	bounded *bounds
+}
+
+func (l lockstepAssigner) start(centroids [][]float64, upper, lower []float64) {
+	l.bounded.start(centroids, upper, lower)
+}
+
+func (l lockstepAssigner) lowerBounds() []float64 { return l.bounded.lowerBounds() }
+
 func (l lockstepAssigner) assignAndSum(data, centroids [][]float64, assign, sizes []int, force bool) bool {
-	l.t.Helper()
 	wantAssign := append([]int(nil), assign...)
 	wantSizes := make([]int, len(sizes))
 	want := scanAssigner{}.assignAndSum(data, centroids, wantAssign, wantSizes, force)
 	got := l.bounded.assignAndSum(data, centroids, assign, sizes, force)
-	*l.steps++
+	step := l.check.steps.Add(1)
 	if got != want {
-		l.t.Fatalf("step %d: changed = %v, reference scan says %v", *l.steps, got, want)
+		l.check.diverged("step %d: changed = %v, reference scan says %v", step, got, want)
 	}
 	for i := range assign {
 		if assign[i] != wantAssign[i] {
-			l.t.Fatalf("step %d: point %d assigned %d, reference scan says %d", *l.steps, i, assign[i], wantAssign[i])
+			l.check.diverged("step %d: point %d assigned %d, reference scan says %d", step, i, assign[i], wantAssign[i])
+			break
 		}
 	}
 	for c := range sizes {
 		if sizes[c] != wantSizes[c] {
-			l.t.Fatalf("step %d: cluster %d size %d, reference scan says %d", *l.steps, c, sizes[c], wantSizes[c])
+			l.check.diverged("step %d: cluster %d size %d, reference scan says %d", step, c, sizes[c], wantSizes[c])
+			break
 		}
 	}
 	return got
 }
 
-// lockstep installs the lockstep assigner as KMeansSeeded's assignment
-// step for the rest of the test and returns the number of assignment
-// steps it has checked so far.
-func lockstep(t testing.TB) *int {
-	steps := new(int)
+// lockstep installs the lockstep assigner as the k-means assignment
+// step for the rest of the test and returns its check, whose steps
+// count the assignment steps checked so far.
+func lockstep(t testing.TB) *lockstepCheck {
+	check := &lockstepCheck{t: t}
 	prev := newAssigner
-	newAssigner = func(n, k, d int) assigner {
-		return lockstepAssigner{t: t, bounded: newBounds(n, k, d), steps: steps}
+	newAssigner = func(k, d int) assigner {
+		return lockstepAssigner{check: check, bounded: newBounds(k, d)}
 	}
 	t.Cleanup(func() { newAssigner = prev })
-	return steps
+	return check
 }
 
 // withScan runs f with the reference scan as the assignment step.
 func withScan(f func()) {
 	prev := newAssigner
-	newAssigner = func(n, k, d int) assigner { return scanAssigner{} }
+	newAssigner = func(k, d int) assigner { return scanAssigner{} }
 	defer func() { newAssigner = prev }()
 	f()
 }
@@ -121,9 +152,9 @@ func sameResult(a, b Result) bool {
 // a run on the reference scan alone.
 func checkSearchEquivalent(t *testing.T, data [][]float64, cfg SearchConfig, seed uint64) {
 	t.Helper()
-	steps := lockstep(t)
+	check := lockstep(t)
 	got, gotErr := Search(data, cfg, stats.NewRNG(seed))
-	if *steps == 0 {
+	if check.steps.Load() == 0 {
 		t.Fatal("lockstep assigner never ran")
 	}
 	var want SearchResult
@@ -183,9 +214,9 @@ func encodeDataset(dim, dupes int, coords ...float64) []byte {
 // FuzzBoundedAssign proves the Hamerly-bounded assignment step
 // equivalent to the full scan: at every Lloyd iteration of every k-means
 // run inside a BIC search the assignments must match, and so must the
-// final scores and the selected clustering. A direct KMeansSeeded run
-// over unfiltered floats (NaN, ±Inf, overflow) checks the same in
-// lockstep.
+// final scores and the selected clustering. Direct runs over unfiltered
+// floats (NaN, ±Inf, overflow), a fresh one and a warm start carrying
+// its predecessor's assignment and bounds, check the same in lockstep.
 func FuzzBoundedAssign(f *testing.F) {
 	addSearchSeeds(f)
 	// Duplicate and tie data from the degenerate-input tests: mass
@@ -204,12 +235,15 @@ func FuzzBoundedAssign(f *testing.F) {
 		}
 		if data := rawDataset(raw); len(data) > 0 {
 			k := 1 + int(seed%uint64(min(len(data), 8)))
-			steps := lockstep(t)
+			check := lockstep(t)
 			got := KMeans(data, k, stats.NewRNG(seed), 30)
 			var want Result
 			withScan(func() { want = KMeans(data, k, stats.NewRNG(seed), 30) })
-			if *steps == 0 || !sameResult(got, want) {
+			if check.steps.Load() == 0 || !sameResult(got, want) {
 				t.Fatalf("KMeans(k=%d) on raw floats differs from the reference scan", k)
+			}
+			if k > 1 {
+				checkWarmEquivalent(t, data, k, seed)
 			}
 		}
 	})
@@ -251,17 +285,18 @@ func TestBoundedAssignMatchesScan(t *testing.T) {
 }
 
 // TestBoundsProveSeparatedClusters: the bounds must actually prune. At
-// a converged clustering of well-separated blobs, a second assignment
-// step at the same centroids must find almost every point's assignment
-// proved by its bounds, so the scan is skipped.
+// a converged clustering of well-separated blobs, the bounds seeding
+// computes for those centroids, carried through one assignment step,
+// must prove almost every point's assignment, so the scan is skipped.
 func TestBoundsProveSeparatedClusters(t *testing.T) {
 	data, _ := blobs(stats.NewRNG(5), 6, 80, 16, 40)
 	res := KMeans(data, 6, stats.NewRNG(1), 0)
-	b := newBounds(len(data), 6, 16)
-	assign := append([]int(nil), res.Assign...)
+	// With all six centroids given, seeding draws nothing.
+	centroids, assign, upper, lower := plusPlus(data, res.Centroids, 6, nil, nil)
+	b := newBounds(6, 16)
+	b.start(centroids, upper, lower)
 	sizes := make([]int, 6)
-	b.assignAndSum(data, res.Centroids, assign, sizes, true)
-	b.assignAndSum(data, res.Centroids, assign, sizes, false)
+	b.assignAndSum(data, centroids, assign, sizes, true)
 	proved := 0
 	for i := range data {
 		if b.proves(b.upper[i], b.lower[i]) {
@@ -270,5 +305,98 @@ func TestBoundsProveSeparatedClusters(t *testing.T) {
 	}
 	if proved < len(data)*9/10 {
 		t.Fatalf("bounds proved only %d/%d assignments on separated blobs", proved, len(data))
+	}
+}
+
+// checkWarmEquivalent runs a (k-1)-clustering and the warm start from it
+// to k in lockstep, the warm start carrying the assignment and bounds,
+// and compares both with KMeans and KMeansSeeded on the reference scan,
+// which carries nothing. It returns the carry the warm start began from.
+func checkWarmEquivalent(t *testing.T, data [][]float64, k int, seed uint64) carry {
+	t.Helper()
+	check := lockstep(t)
+	prev := kmeans(data, k-1, stats.NewRNG(seed), 30, nil, nil)
+	got := kmeans(data, k, stats.NewRNG(seed+1), 30, nil, &prev)
+	var wantPrev, want Result
+	withScan(func() {
+		wantPrev = KMeans(data, k-1, stats.NewRNG(seed), 30)
+		want = KMeansSeeded(data, k, stats.NewRNG(seed+1), 30, wantPrev.Centroids)
+	})
+	if check.steps.Load() == 0 || prev.lower == nil {
+		t.Fatal("lockstep assigner never ran")
+	}
+	if !sameResult(prev.res, wantPrev) {
+		t.Fatalf("KMeans(k=%d) differs from the reference scan", k-1)
+	}
+	if !sameResult(got.res, want) {
+		t.Fatalf("warm start to k=%d differs from KMeansSeeded on the reference scan", k)
+	}
+	return prev
+}
+
+// TestWarmStartTakesFromNeighbours: at D=136, a warm start's new
+// centroid lands between two clusters and takes points from both on the
+// first assignment step. For those points the carried assignment is
+// stale and only the new centroid's distance shows it; the first step
+// must still match the scan.
+func TestWarmStartTakesFromNeighbours(t *testing.T) {
+	// Two tight, heavy blobs and a light band stretched along the axis
+	// between them: two centroids split the band, and k-means++ draws
+	// the third centroid from it.
+	rng := stats.NewRNG(11)
+	const d = 136
+	var data [][]float64
+	add := func(n int, at, width float64) {
+		for i := 0; i < n; i++ {
+			p := make([]float64, d)
+			for j := range p {
+				p[j] = rng.Norm(0, 0.3)
+			}
+			p[0] += at + width*(rng.Float64()-0.5)
+			data = append(data, p)
+		}
+	}
+	add(200, -20, 0)
+	add(60, 0, 16)
+	add(200, 20, 0)
+
+	prev := checkWarmEquivalent(t, data, 3, 5)
+	var centroids [][]float64
+	for _, c := range prev.res.Centroids {
+		centroids = append(centroids, clone(c))
+	}
+	_, assign, _, _ := plusPlus(data, centroids, 3, stats.NewRNG(6), &prev)
+	taken := map[int]int{}
+	for i, a := range assign {
+		if a == 2 {
+			taken[prev.res.Assign[i]]++
+		}
+	}
+	if len(taken) < 2 {
+		t.Fatalf("the new centroid took points from clusters %v; the fixture must make it take from both", taken)
+	}
+}
+
+// TestWarmStartNonFiniteFallback: points whose carried distance is not
+// finite (a NaN or infinite coordinate, a NaN centroid, an overflowing
+// square) must be scanned against every seed, so the draws and the
+// first step still match the scan.
+func TestWarmStartNonFiniteFallback(t *testing.T) {
+	data, _ := blobs(stats.NewRNG(3), 4, 20, 3, 10)
+	data = append(data,
+		[]float64{math.NaN(), 0, 0},
+		[]float64{math.Inf(1), 1, 1},
+		[]float64{1e200, 0, 0},
+		[]float64{-1e200, 5, 5},
+	)
+	prev := checkWarmEquivalent(t, data, 5, 9)
+	fallbacks := 0
+	for i, x := range data {
+		if !finite(linalg.SquaredDistance(x, prev.res.Centroids[prev.res.Assign[i]])) {
+			fallbacks++
+		}
+	}
+	if fallbacks == 0 {
+		t.Fatal("every carried distance is finite; the fixture must exercise the full-scan fallback")
 	}
 }

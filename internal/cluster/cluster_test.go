@@ -2,10 +2,12 @@ package cluster
 
 import (
 	"math"
+	"reflect"
 	"runtime"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/obs"
 	"repro/internal/xmath/stats"
 )
 
@@ -502,5 +504,55 @@ func TestXMeansUniformDataStaysAtKMin(t *testing.T) {
 	}
 	if res.K != 1 {
 		t.Fatalf("uniform data split into %d", res.K)
+	}
+}
+
+// TestSearchIdenticalAcrossGOMAXPROCS: each k's k-means runs execute
+// concurrently, so neither the search result (BIC scores to the bit) nor
+// the k-means counters and histogram it records may depend on how many
+// of them run at once.
+func TestSearchIdenticalAcrossGOMAXPROCS(t *testing.T) {
+	data := phaseData(500, 136)
+	type outcome struct {
+		res  SearchResult
+		snap *obs.Snapshot
+	}
+	search := func(procs int) outcome {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		reg := obs.NewWith(obs.Options{TraceCapacity: -1})
+		cfg := DefaultSearchConfig()
+		cfg.Obs = reg
+		res, err := Search(data, cfg, stats.NewRNG(17))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return outcome{res, reg.Snapshot()}
+	}
+	want := search(1)
+	if want.snap.Counters["cluster.kmeans.runs"] == 0 {
+		t.Fatal("search recorded no k-means runs")
+	}
+	for _, procs := range []int{2, 4} {
+		got := search(procs)
+		if got.res.StoppedAt != want.res.StoppedAt || len(got.res.Scores) != len(want.res.Scores) {
+			t.Fatalf("GOMAXPROCS=%d: stopped at k=%d, GOMAXPROCS=1 at k=%d", procs, got.res.StoppedAt, want.res.StoppedAt)
+		}
+		for k := range got.res.Scores {
+			if !sameFloat(got.res.Scores[k], want.res.Scores[k]) {
+				t.Fatalf("GOMAXPROCS=%d: BIC(k=%d) = %v, GOMAXPROCS=1 %v", procs, k+1, got.res.Scores[k], want.res.Scores[k])
+			}
+		}
+		if !sameResult(got.res.Best, want.res.Best) {
+			t.Fatalf("GOMAXPROCS=%d: selected clustering differs from GOMAXPROCS=1's", procs)
+		}
+		for _, name := range []string{"cluster.kmeans.runs", "cluster.kmeans.iterations"} {
+			if g, w := got.snap.Counters[name], want.snap.Counters[name]; g != w {
+				t.Errorf("GOMAXPROCS=%d: %s = %d, GOMAXPROCS=1 %d", procs, name, g, w)
+			}
+		}
+		const hist = "cluster.kmeans.iterations_per_run"
+		if g, w := got.snap.Histograms[hist], want.snap.Histograms[hist]; !reflect.DeepEqual(g, w) {
+			t.Errorf("GOMAXPROCS=%d: %s = %+v, GOMAXPROCS=1 %+v", procs, hist, g, w)
+		}
 	}
 }

@@ -47,6 +47,25 @@ func KMeans(data [][]float64, k int, rng *stats.RNG, maxIter int) Result {
 // Warm-starting from a (k-1)-clustering's centroids makes WCSS decrease
 // (near-)monotonically in k, which the BIC search relies on.
 func KMeansSeeded(data [][]float64, k int, rng *stats.RNG, maxIter int, seeds [][]float64) Result {
+	return kmeans(data, k, rng, maxIter, seeds, nil).res
+}
+
+// carry is one finished k-means run as the next step of a BIC sweep
+// sees it: the clustering, plus the Hamerly lower bounds its assignment
+// step left, which hold at its final centroids (nil when the step keeps
+// none).
+type carry struct {
+	res   Result
+	lower []float64
+}
+
+// kmeans is KMeansSeeded, optionally warm-started from a finished run
+// with fewer than k clusters. A non-nil from replaces seeds with from's
+// centroids; when from has bounds, seeding and the first assignment
+// step start from its assignment and bounds instead of rescanning every
+// point against every seed. Either way the result is bit-identical to
+// KMeansSeeded(data, k, rng, maxIter, from.res.Centroids).
+func kmeans(data [][]float64, k int, rng *stats.RNG, maxIter int, seeds [][]float64, from *carry) carry {
 	n := len(data)
 	if n == 0 {
 		panic("cluster: KMeans on empty dataset")
@@ -63,28 +82,31 @@ func KMeansSeeded(data [][]float64, k int, rng *stats.RNG, maxIter int, seeds []
 	if maxIter <= 0 {
 		maxIter = DefaultMaxIterations
 	}
-
-	var centroids [][]float64
-	switch {
-	case len(seeds) == 0:
-		centroids = seedPlusPlus(data, k, rng)
-	default:
-		centroids = make([][]float64, 0, k)
-		for _, s := range seeds {
-			if len(centroids) == k {
-				break
-			}
-			if len(s) != d {
-				panic(fmt.Sprintf("cluster: seed has %d dims, want %d", len(s), d))
-			}
-			centroids = append(centroids, clone(s))
+	if from != nil {
+		seeds = from.res.Centroids
+		if from.lower == nil {
+			from = nil
 		}
-		centroids = extendPlusPlus(data, centroids, k, rng)
 	}
-	assign := make([]int, n)
+
+	centroids := make([][]float64, 0, k)
+	if len(seeds) == 0 {
+		centroids = append(centroids, clone(data[rng.Intn(n)]))
+	}
+	for _, s := range seeds {
+		if len(centroids) == k {
+			break
+		}
+		if len(s) != d {
+			panic(fmt.Sprintf("cluster: seed has %d dims, want %d", len(s), d))
+		}
+		centroids = append(centroids, clone(s))
+	}
+	centroids, assign, upper, lower := plusPlus(data, centroids, k, rng, from)
 	sizes := make([]int, k)
 	res := Result{K: k}
-	bnd := newAssigner(n, k, d)
+	bnd := newAssigner(k, d)
+	bnd.start(centroids, upper, lower)
 
 	for iter := 0; iter < maxIter; iter++ {
 		changed := bnd.assignAndSum(data, centroids, assign, sizes, iter == 0)
@@ -152,7 +174,7 @@ func KMeansSeeded(data [][]float64, k int, rng *stats.RNG, maxIter int, seeds []
 	res.Assign = assign
 	res.Sizes = sizes
 	res.WCSS = wcss
-	return res
+	return carry{res: res, lower: bnd.lowerBounds()}
 }
 
 // parallelChunk is the row granularity of the parallel assignment step.
@@ -175,9 +197,9 @@ const (
 )
 
 // bounds carries Hamerly's per-point distance bounds across the Lloyd
-// iterations of one KMeansSeeded call. upper[i] is at least the
-// distance from point i to its assigned centroid; lower[i] is at most
-// its distance to any other centroid. When upper[i] is strictly below
+// iterations of one k-means run, starting from those its seeding left.
+// upper[i] is at least the distance from point i to its assigned
+// centroid; lower[i] is at most its distance to any other centroid. When upper[i] is strictly below
 // lower[i], the assigned centroid is the unique nearest one and the
 // k-distance scan is skipped.
 //
@@ -196,44 +218,64 @@ type bounds struct {
 	// the first); drift[c] bounds how far centroid c has moved since.
 	prev  [][]float64
 	drift []float64
-	slack float64
+	tol
 }
 
-// assigner is one KMeansSeeded call's Lloyd assignment step.
+// assigner is one k-means run's Lloyd assignment step.
 type assigner interface {
+	// start hands the first step the bounds seeding left (see
+	// plusPlus), which hold at centroids. A step that keeps no bounds
+	// ignores them.
+	start(centroids [][]float64, upper, lower []float64)
 	assignAndSum(data, centroids [][]float64, assign, sizes []int, force bool) bool
+	// lowerBounds returns the lower bounds the last step left, which
+	// hold at its centroids, or nil if the step keeps none.
+	lowerBounds() []float64
 }
 
-// newAssigner builds the assignment step for n points of d dims in k
+// newAssigner builds the assignment step for points of d dims in k
 // clusters. It is a variable only so tests can run a reference scan in
 // lockstep with the bounded one.
-var newAssigner = func(n, k, d int) assigner { return newBounds(n, k, d) }
+var newAssigner = func(k, d int) assigner { return newBounds(k, d) }
 
-func newBounds(n, k, d int) *bounds {
+// newBounds builds a bounded step; its bounds come from start.
+func newBounds(k, d int) *bounds {
 	return &bounds{
-		upper: make([]float64, n),
-		lower: make([]float64, n),
 		drift: make([]float64, k),
-		// Rounding error of a d-term sum of squares is about (d+2)
-		// units of 2^-53; the slack is eight times that, floored for
-		// tiny d.
-		slack: float64(d+16) * 0x1p-50,
+		tol:   tolerance(d),
 	}
 }
 
+// start adopts seeding's bounds. They hold at centroids, so the first
+// step sees zero drift.
+func (b *bounds) start(centroids [][]float64, upper, lower []float64) {
+	b.prev, b.upper, b.lower = centroids, upper, lower
+}
+
+func (b *bounds) lowerBounds() []float64 { return b.lower }
+
+// tol is the relative slack that keeps bounds conservative over
+// computed (rounded) distances in d dimensions.
+type tol float64
+
+// tolerance is the slack for d dimensions. Rounding error of a d-term
+// sum of squares is about (d+2) units of 2^-53; the slack is eight
+// times that, floored for tiny d.
+func tolerance(d int) tol { return tol(float64(d+16) * 0x1p-50) }
+
 // up inflates a computed distance into a conservative upper bound.
-func (b *bounds) up(x float64) float64 { return x*(1+b.slack) + tinyBound }
+func (s tol) up(x float64) float64 { return x*(1+float64(s)) + tinyBound }
 
 // down deflates a computed distance into a conservative lower bound.
-func (b *bounds) down(x float64) float64 { return max(x*(1-b.slack)-tinyBound, 0) }
+func (s tol) down(x float64) float64 { return max(x*(1-float64(s))-tinyBound, 0) }
 
 // finite reports whether x is neither NaN nor infinite.
 func finite(x float64) bool { return x-x == 0 }
 
 // proves reports whether upper bound u strictly proves a point's
 // assigned centroid is its unique nearest under lower bound l.
-func (b *bounds) proves(u, l float64) bool {
-	return u <= maxBound && l >= minBound && u*(1+b.slack) < l*(1-b.slack)
+func (s tol) proves(u, l float64) bool {
+	return u <= maxBound && l >= minBound && u*(1+float64(s)) < l*(1-float64(s))
 }
 
 // assignAndSum performs the k-means assignment step, filling assign and
@@ -403,35 +445,54 @@ func sumByCluster(data [][]float64, assign []int, k, d int) [][]float64 {
 	return out
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-// seedPlusPlus picks k initial centroids with the k-means++ strategy:
-// the first uniformly, each next with probability proportional to the
-// squared distance from the nearest chosen centroid.
-func seedPlusPlus(data [][]float64, k int, rng *stats.RNG) [][]float64 {
-	centroids := make([][]float64, 0, k)
-	centroids = append(centroids, clone(data[rng.Intn(len(data))]))
-	return extendPlusPlus(data, centroids, k, rng)
-}
-
-// extendPlusPlus grows an existing centroid set to k members with
-// k-means++ draws.
-func extendPlusPlus(data [][]float64, centroids [][]float64, k int, rng *stats.RNG) [][]float64 {
+// plusPlus grows centroids to k members with k-means++ draws: each next
+// centroid is a point drawn with probability proportional to its
+// squared distance from the nearest chosen one. On the way it computes
+// what the first Lloyd assignment step would, so that step starts from
+// bounds instead of rescanning: for every point, its nearest centroid
+// (first index on ties, as the scan picks) and Hamerly bounds at the
+// finished set, upper on the distance to it and lower on the distance
+// to any other. A point that met a non-finite distance gets lower 0,
+// which never proves anything, so the first step rescans it.
+//
+// from, when non-nil, is the finished run the first len(centroids)
+// centroids came from. Its Assign names each point's nearest of them,
+// so the point's distance to that one alone is its draw weight and its
+// carried lower bound covers the rest: n distances instead of
+// n*len(centroids). A point whose carried distance is not finite is
+// scanned against every centroid instead. The draw weights are the
+// very values a full scan computes, so the draws are too.
+func plusPlus(data, centroids [][]float64, k int, rng *stats.RNG, from *carry) ([][]float64, []int, []float64, []float64) {
 	n := len(data)
-	d2 := make([]float64, n)
-	for i := range d2 {
-		best := math.Inf(1)
-		for _, c := range centroids {
-			if dist := linalg.SquaredDistance(data[i], c); dist < best {
-				best = dist
+	tol := tolerance(len(data[0]))
+	assign := make([]int, n)
+	d2 := make([]float64, n)     // squared distance to the nearest centroid: the draw weights
+	second := make([]float64, n) // squared distance to the second nearest of those scanned here
+	lower := make([]float64, n)  // carried bound on the distance to those not scanned here
+	inf := math.Inf(1)
+	// observe applies the scan's first-index rule for centroid c.
+	observe := func(i, c int, dist float64) {
+		if dist < d2[i] {
+			d2[i], second[i], assign[i] = dist, d2[i], c
+		} else if dist < second[i] {
+			second[i] = dist
+		}
+		if !finite(dist) {
+			lower[i] = 0
+		}
+	}
+	for i, x := range data {
+		d2[i], second[i], lower[i] = inf, inf, inf
+		if from != nil {
+			a := from.res.Assign[i]
+			if v := linalg.SquaredDistance(x, centroids[a]); finite(v) {
+				d2[i], assign[i], lower[i] = v, a, from.lower[i]
+				continue
 			}
 		}
-		d2[i] = best
+		for c, cen := range centroids {
+			observe(i, c, linalg.SquaredDistance(x, cen))
+		}
 	}
 	for len(centroids) < k {
 		total := 0.0
@@ -457,13 +518,16 @@ func extendPlusPlus(data [][]float64, centroids [][]float64, k int, rng *stats.R
 		}
 		c := clone(data[idx])
 		centroids = append(centroids, c)
-		for i := range d2 {
-			if dist := linalg.SquaredDistance(data[i], c); dist < d2[i] {
-				d2[i] = dist
-			}
+		for i, x := range data {
+			observe(i, len(centroids)-1, linalg.SquaredDistance(x, c))
 		}
 	}
-	return centroids
+	upper := d2 // the draw weights are spent: reuse them
+	for i, v := range d2 {
+		lower[i] = min(lower[i], tol.down(math.Sqrt(second[i])))
+		upper[i] = tol.up(math.Sqrt(v))
+	}
+	return centroids, assign, upper, lower
 }
 
 // equalVec reports exact element-wise equality; used by the
