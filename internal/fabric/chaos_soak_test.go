@@ -275,6 +275,10 @@ func TestChaosSoakByzantineKillRestart(t *testing.T) {
 // final report is byte-identical to the clean single-process run and no
 // honest worker is quarantined.
 func TestChaosFaultClassesPreserveReport(t *testing.T) {
+	const (
+		disruptiveHedge = 40 * time.Millisecond
+		benignHedge     = time.Hour
+	)
 	cases := []struct {
 		name string
 		cfg  chaos.Config
@@ -282,18 +286,24 @@ func TestChaosFaultClassesPreserveReport(t *testing.T) {
 		// counters; benign ones (latency under the hedge deadline,
 		// duplicate delivery) must not need any recovery at all.
 		disruptive bool
+		// hedge is the coordinator's hedge deadline. Benign classes get
+		// benignHedge, which no honest frame reaches however loaded the
+		// host, so their "no recovery" outcome cannot depend on timing.
+		// Disruptive classes keep a short deadline: stall's 300 ms
+		// stall must outlast it and hedge.
+		hedge time.Duration
 	}{
 		// Drop stays moderate: at 0.5 the dropped heartbeat probes keep
 		// workers marked down long enough that frames can exhaust their
 		// requeue budget and degrade to a substitute — a legitimate
 		// outcome, but not the byte-identity this test asserts.
-		{"drop", chaos.Config{Seed: 101, DropRate: 0.35}, true},
-		{"delay", chaos.Config{Seed: 102, DelayRate: 0.6, Delay: 2 * time.Millisecond}, false},
-		{"duplicate", chaos.Config{Seed: 103, DuplicateRate: 0.6}, false},
-		{"truncate", chaos.Config{Seed: 104, TruncateRate: 0.4}, true},
-		{"corrupt", chaos.Config{Seed: 105, CorruptRate: 0.4}, true},
-		{"stall", chaos.Config{Seed: 106, StallRate: 0.5, StallDelay: 300 * time.Millisecond}, true},
-		{"partition", chaos.Config{Seed: 107, PartitionRate: 0.4, PartitionWindow: 2}, true},
+		{"drop", chaos.Config{Seed: 101, DropRate: 0.35}, true, disruptiveHedge},
+		{"delay", chaos.Config{Seed: 102, DelayRate: 0.6, Delay: 2 * time.Millisecond}, false, benignHedge},
+		{"duplicate", chaos.Config{Seed: 103, DuplicateRate: 0.6}, false, benignHedge},
+		{"truncate", chaos.Config{Seed: 104, TruncateRate: 0.4}, true, disruptiveHedge},
+		{"corrupt", chaos.Config{Seed: 105, CorruptRate: 0.4}, true, disruptiveHedge},
+		{"stall", chaos.Config{Seed: 106, StallRate: 0.5, StallDelay: 300 * time.Millisecond}, true, disruptiveHedge},
+		{"partition", chaos.Config{Seed: 107, PartitionRate: 0.4, PartitionWindow: 2}, true, disruptiveHedge},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -304,7 +314,7 @@ func TestChaosFaultClassesPreserveReport(t *testing.T) {
 				Client:             chaosClient(t, tc.cfg),
 				HeartbeatInterval:  5 * time.Millisecond,
 				AuditFraction:      1, // double the dispatch plan: more fault draws, audit under fire
-				HedgeAfter:         40 * time.Millisecond,
+				HedgeAfter:         tc.hedge,
 				DigestFailureLimit: 1 << 20,
 			})
 			if err != nil {

@@ -1,8 +1,11 @@
 package funcsim
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"testing"
 
+	"repro/internal/gltrace"
 	"repro/internal/tbr"
 	"repro/internal/workload"
 )
@@ -212,5 +215,39 @@ func TestRenderFrameBounds(t *testing.T) {
 	}
 	if _, err := RenderFrame(tr, tr.NumFrames()); err == nil {
 		t.Fatal("accepted out-of-range frame")
+	}
+}
+
+// TestRenderFrameDigest pins RenderFrame's pixels: the sha256 of the
+// RGBA buffer for a few frames of a 2D and a 3D game. A change to the
+// rasterizer loop RenderFrame drives must leave every pixel in place.
+func TestRenderFrameDigest(t *testing.T) {
+	cases := []struct {
+		game  string
+		frame int
+		want  string
+	}{
+		{"hcr", 0, "f83f0a22be90cbfa5bd1616fe964fa04b24685b082e68adc581aeb7b8c1e8a50"},
+		{"hcr", 7, "8be3f69c735349167bd15a2733e520ba8a06326b619c92392ff8f98cfcd7fec8"},
+		{"hcr", 19, "4cc7c9081836ae1b1b54cef7f5a7010edea32d0ada728fc84418d9dc3f45099a"},
+		{"bbr1", 0, "f917830cfe00f9fdd26b47afae1c96d84967ac410ffb520c9d5062ddd656bf1d"},
+		{"bbr1", 5, "919af6ccd871e6f211b8d5b0975c98980e0c42c60cbf2d53218e46885d401238"},
+		{"bbr1", 12, "2015af11f14b30d39ce097cdfb7313634ec78a35b91bb1f156b26cb52132231c"},
+	}
+	traces := map[string]*gltrace.Trace{}
+	for _, tc := range cases {
+		tr, ok := traces[tc.game]
+		if !ok {
+			tr = workload.MustGenerate(workload.Profiles[tc.game], workload.TestScale)
+			traces[tc.game] = tr
+		}
+		img, err := RenderFrame(tr, tc.frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(img.Pix)
+		if got := hex.EncodeToString(sum[:]); got != tc.want {
+			t.Errorf("%s frame %d: pixel digest %s, want %s", tc.game, tc.frame, got, tc.want)
+		}
 	}
 }
