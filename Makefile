@@ -43,9 +43,11 @@ race:
 # snapshots, race-detector clean. Core count is a test axis too: the
 # -cpu 1,2,4 runs repeat the frame-parallel characterization, the
 # chunk-parallel k-means and selection, the tbr goldens, the fabric
-# kill-worker and chaos-soak contracts, and the resilience, serve and
-# stream gates (the selections of those targets) at each GOMAXPROCS, so
-# no outcome can hide a dependence on the host's core count.
+# kill-worker and chaos-soak contracts, the resilience, serve and
+# stream gates (the selections of those targets) and the batch
+# supervise-then-degrade tests that share the streaming supervisor at
+# each GOMAXPROCS, so no outcome can hide a dependence on the host's
+# core count.
 determinism:
 	$(GO) test -race -count=1 -run '^TestGoldenDeterminism' ./internal/tbr
 	$(GO) test -race -count=1 -cpu 1,2,4 ./internal/funcsim ./internal/cluster ./internal/core
@@ -53,7 +55,7 @@ determinism:
 	$(GO) test -race -count=1 -cpu 1,2,4 -run '^TestClusterKillWorkerMidCampaign$$|^TestChaosSoakByzantineKillRestart$$' ./internal/fabric
 	$(GO) test -race -count=1 -cpu 1,2,4 -run '^TestGoldenKillAndResume$$|^TestDegradedAccuracyWithinWidenedBands$$' ./internal/resilience
 	$(GO) test -race -count=1 -cpu 1,2,4 ./internal/serve ./internal/stream ./cmd/megsimd
-	$(GO) test -race -count=1 -cpu 1,2,4 -run '^TestServerMode|^TestSampleStreaming|^TestStream' ./megsim ./cmd/megsim
+	$(GO) test -race -count=1 -cpu 1,2,4 -run '^TestServerMode|^TestSampleStreaming|^TestStream|^TestSampleResilient' ./megsim ./cmd/megsim
 
 # Explicit gate on the resilience guarantees: the kill-and-resume
 # golden (byte-identical stats, obs snapshots and checkpoint bytes

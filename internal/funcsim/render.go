@@ -36,6 +36,7 @@ func RenderFrame(trace *gltrace.Trace, frame int) (*image.RGBA, error) {
 	curFS, curTex := 0, 0
 	bound := false
 	var triBuf []raster.ScreenTriangle
+	var batch raster.QuadBatch
 	for ci := range trace.Frames[frame].Commands {
 		cmd := &trace.Frames[frame].Commands[ci]
 		switch cmd.Op {
@@ -59,24 +60,28 @@ func RenderFrame(trace *gltrace.Trace, frame int) (*image.RGBA, error) {
 			r, g, b := materialColor(curFS, curTex)
 			blend := cmd.Blend
 			for t := range tris {
-				raster.RasterizeQuads(&tris[t], clip, func(q *raster.Quad) {
+				batch.Reset()
+				batch.AppendQuads(&tris[t], clip)
+				for qi, n := 0, batch.Len(); qi < n; qi++ {
+					qx, qy := int(batch.X[qi]), int(batch.Y[qi])
+					qz := batch.Depth[qi*4 : qi*4+4]
 					var mask uint8
 					if blend {
-						mask = depth.TestQuadReadOnly(q)
+						mask = depth.TestMaskReadOnly(qx, qy, qz, batch.Mask[qi])
 					} else {
-						mask = depth.TestQuad(q)
+						mask = depth.TestMask(qx, qy, qz, batch.Mask[qi])
 					}
 					for s := 0; s < 4; s++ {
 						if mask&(1<<s) == 0 {
 							continue
 						}
-						x := q.X + (s & 1)
-						y := q.Y + (s >> 1)
+						x := qx + (s & 1)
+						y := qy + (s >> 1)
 						if x >= vp.Width || y >= vp.Height {
 							continue
 						}
 						// Depth cue: nearer is brighter.
-						shade := 1 - 0.6*q.Depth[s]
+						shade := 1 - 0.6*qz[s]
 						pr := uint8(float64(r) * shade)
 						pg := uint8(float64(g) * shade)
 						pb := uint8(float64(b) * shade)
@@ -88,7 +93,7 @@ func RenderFrame(trace *gltrace.Trace, frame int) (*image.RGBA, error) {
 						}
 						img.SetRGBA(x, y, color.RGBA{R: pr, G: pg, B: pb, A: 255})
 					}
-				})
+				}
 			}
 		}
 	}

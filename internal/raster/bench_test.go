@@ -26,10 +26,13 @@ func BenchmarkRasterizeQuads64(b *testing.B) {
 		UV:  [3]geom.Vec2{{X: 0, Y: 0}, {X: 1, Y: 0}, {X: 0, Y: 1}},
 	}
 	clip := geom.AABB2{Max: geom.Vec2{X: 64, Y: 64}}
+	var batch QuadBatch
 	b.ResetTimer()
 	quads := 0
 	for i := 0; i < b.N; i++ {
-		RasterizeQuads(&tri, clip, func(q *Quad) { quads++ })
+		batch.Reset()
+		batch.AppendQuads(&tri, clip)
+		quads += batch.Len()
 	}
 	if quads == 0 {
 		b.Fatal("no quads")
@@ -38,9 +41,9 @@ func BenchmarkRasterizeQuads64(b *testing.B) {
 
 func BenchmarkDepthTestQuad(b *testing.B) {
 	d := NewDepthBuffer(64, 64)
-	q := Quad{X: 30, Y: 30, Mask: 0b1111, Depth: [4]float64{0.5, 0.5, 0.5, 0.5}}
+	depth := []float64{0.5, 0.5, 0.5, 0.5}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		d.TestQuad(&q)
+		d.TestMask(30, 30, depth, 0b1111)
 	}
 }

@@ -2,7 +2,6 @@ package raster
 
 import (
 	"math"
-	"sync"
 
 	"repro/internal/geom"
 )
@@ -13,9 +12,11 @@ import (
 // are reused across triangles and tiles, so the steady-state raster hot
 // path performs no allocations.
 //
-// Quad i occupies X[i], Y[i], Mask[i], U[i], V[i] and the four samples
-// Depth[4i:4i+4] (sample order (0,0), (1,0), (0,1), (1,1), matching
-// Quad.Depth).
+// Quad i covers pixels (X[i], Y[i]) to (X[i]+1, Y[i]+1), with X[i] and
+// Y[i] even. Mask[i] has bit s set when sample s is covered and
+// Depth[4i+s] holds that sample's interpolated depth, in sample order
+// (0,0), (1,0), (0,1), (1,1). U[i], V[i] are the texture coordinates
+// interpolated at the quad center.
 type QuadBatch struct {
 	X, Y  []int32
 	Mask  []uint8
@@ -36,31 +37,17 @@ func (b *QuadBatch) Reset() {
 	b.V = b.V[:0]
 }
 
-// Quad materializes quad i as an AoS Quad (callback wrappers, tests).
-func (b *QuadBatch) Quad(i int) Quad {
-	q := Quad{
-		X:    int(b.X[i]),
-		Y:    int(b.Y[i]),
-		Mask: b.Mask[i],
-		U:    b.U[i],
-		V:    b.V[i],
-	}
-	copy(q.Depth[:], b.Depth[i*4:i*4+4])
-	return q
-}
-
 // AppendQuads rasterizes tri's 2x2 quads intersected with clip (in
 // pixels, max-exclusive), appending one entry per quad with at least one
 // covered sample. Quads are emitted row-major, the scan order of a
 // hardware rasterizer.
 //
-// This is the batched form of RasterizeQuads and is bit-identical to it:
-// every floating-point result is produced by the same expression tree in
-// the same order. Loop-invariant subexpressions (the edge coefficients,
-// the per-row (xC-xB)*(py-yC) terms) are hoisted, which IEEE arithmetic
-// guarantees is value-preserving; no operation is reassociated and no
-// incremental edge stepping is used, because either would change
-// coverage decisions on boundary samples.
+// Every sample is tested with the barycentric expression tree of the
+// per-sample form, in the same order. Loop-invariant subexpressions (the
+// edge coefficients, the per-row (xC-xB)*(py-yC) terms) are hoisted,
+// which IEEE arithmetic guarantees is value-preserving; no operation is
+// reassociated and no incremental edge stepping is used, because either
+// would change coverage decisions on boundary samples.
 func (b *QuadBatch) AppendQuads(tri *ScreenTriangle, clip geom.AABB2) {
 	bb := tri.Tri.Bounds().Intersect(clip)
 	if bb.Empty() {
@@ -243,15 +230,11 @@ func extend[T any](s []T, newLen int) []T {
 	return ns
 }
 
-// batchPool recycles scratch batches for the callback wrapper so
-// RasterizeQuads stays allocation-free in steady state.
-var batchPool = sync.Pool{New: func() any { return new(QuadBatch) }}
-
 // TestMask applies the depth test to the covered samples of the quad at
 // (x, y) whose per-sample depths and coverage are given SoA-style
-// (depth must have 4 entries in Quad sample order), updating the buffer
-// for survivors and returning the surviving mask. This is TestQuad over
-// a QuadBatch entry.
+// (depth must have 4 entries in QuadBatch sample order), updating the
+// buffer for survivors and returning the surviving mask: the Early
+// Z-Test at quad granularity.
 func (d *DepthBuffer) TestMask(x, y int, depth []float64, mask uint8) uint8 {
 	_ = depth[3]
 	var surviving uint8
@@ -298,7 +281,8 @@ func (d *DepthBuffer) TestMask(x, y int, depth []float64, mask uint8) uint8 {
 }
 
 // TestMaskReadOnly depth-tests the quad at (x, y) without updating the
-// buffer — TestQuadReadOnly over a QuadBatch entry.
+// buffer — the Early-Z behaviour of alpha-blended fragments, which must
+// not occlude anything behind other transparent surfaces.
 func (d *DepthBuffer) TestMaskReadOnly(x, y int, depth []float64, mask uint8) uint8 {
 	_ = depth[3]
 	var surviving uint8

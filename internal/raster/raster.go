@@ -159,55 +159,12 @@ func outsideSamePlane(a, b, c geom.Vec4) bool {
 	return false
 }
 
-// Quad is one 2x2 fragment quad produced by rasterization. X, Y are the
-// top-left pixel coordinates (always even relative to the quad grid).
-type Quad struct {
-	X, Y int
-	// Mask has bit i set when sample i is covered. Sample order:
-	// (0,0), (1,0), (0,1), (1,1).
-	Mask uint8
-	// Depth holds the interpolated depth per covered sample.
-	Depth [4]float64
-	// U, V are the interpolated texture coordinates at the quad center.
-	U, V float64
-}
-
-// Coverage returns the number of covered fragments in the quad.
-func (q *Quad) Coverage() int {
-	n := 0
-	for m := q.Mask; m != 0; m >>= 1 {
-		n += int(m & 1)
-	}
-	return n
-}
-
 // sampleBias nudges sample points off exact pixel centers so that a
 // sample never lies precisely on an edge shared by two triangles. This
 // plays the role of a hardware top-left fill rule: adjacent triangles
 // never both cover the same sample, so meshes neither double-shade nor
 // crack along shared edges.
 const sampleBias = 1.0 / 256
-
-// RasterizeQuads walks the 2x2 quads of tri's bounding box intersected
-// with clip (in pixels, max-exclusive), invoking fn for every quad with
-// at least one covered sample. Quads are emitted row-major, the scan
-// order of a hardware rasterizer.
-//
-// This is a callback adapter over QuadBatch.AppendQuads — the batched
-// SoA rasterizer is the single implementation — kept for consumers
-// (the functional simulator) that want per-quad delivery. The *Quad is
-// only valid for the duration of the callback.
-func RasterizeQuads(tri *ScreenTriangle, clip geom.AABB2, fn func(*Quad)) {
-	b := batchPool.Get().(*QuadBatch)
-	b.Reset()
-	b.AppendQuads(tri, clip)
-	var q Quad
-	for i, n := 0, b.Len(); i < n; i++ {
-		q = b.Quad(i)
-		fn(&q)
-	}
-	batchPool.Put(b)
-}
 
 // DepthBuffer is a per-pixel depth buffer implementing the Early Z-Test.
 // Smaller depth wins (depth 0 = near plane).
@@ -258,43 +215,4 @@ func (d *DepthBuffer) At(x, y int) float64 {
 		return math.MaxFloat32
 	}
 	return float64(d.z[y*d.w+x])
-}
-
-// TestQuad applies the depth test to every covered sample of q,
-// returning the surviving coverage mask (and updating the buffer for
-// survivors). This is the Early Z-Test operation at quad granularity.
-func (d *DepthBuffer) TestQuad(q *Quad) uint8 {
-	var surviving uint8
-	for s := 0; s < 4; s++ {
-		if q.Mask&(1<<s) == 0 {
-			continue
-		}
-		x := q.X + (s & 1)
-		y := q.Y + (s >> 1)
-		if d.TestAndSet(x, y, q.Depth[s]) {
-			surviving |= 1 << s
-		}
-	}
-	return surviving
-}
-
-// TestQuadReadOnly depth-tests q without updating the buffer — the
-// Early-Z behaviour of alpha-blended fragments, which must not occlude
-// anything behind other transparent surfaces.
-func (d *DepthBuffer) TestQuadReadOnly(q *Quad) uint8 {
-	var surviving uint8
-	for s := 0; s < 4; s++ {
-		if q.Mask&(1<<s) == 0 {
-			continue
-		}
-		x := q.X + (s & 1)
-		y := q.Y + (s >> 1)
-		if x < 0 || y < 0 || x >= d.w || y >= d.h {
-			continue
-		}
-		if float32(q.Depth[s]) < d.z[y*d.w+x] {
-			surviving |= 1 << s
-		}
-	}
-	return surviving
 }

@@ -2,6 +2,7 @@ package raster
 
 import (
 	"math"
+	"math/bits"
 	"testing"
 
 	"repro/internal/geom"
@@ -68,22 +69,33 @@ func TestProcessDrawDepthBias(t *testing.T) {
 	}
 }
 
+// rasterize returns tri's quads within clip in a fresh batch.
+func rasterize(tri *ScreenTriangle, clip geom.AABB2) *QuadBatch {
+	b := new(QuadBatch)
+	b.AppendQuads(tri, clip)
+	return b
+}
+
+// coverage counts the covered samples of every quad in b.
+func coverage(b *QuadBatch) int {
+	n := 0
+	for _, m := range b.Mask {
+		n += bits.OnesCount8(m)
+	}
+	return n
+}
+
 func TestRasterizeQuadsFullCoverage(t *testing.T) {
 	// A triangle covering the whole left-lower half of a 16x16 region.
 	tri := ScreenTriangle{
 		Tri: geom.Triangle2{V: [3]geom.Vec3{v3(0, 0, 0.5), v3(16, 0, 0.5), v3(0, 16, 0.5)}},
 	}
-	fragments := 0
-	quads := 0
-	RasterizeQuads(&tri, geom.AABB2{Max: geom.Vec2{X: 16, Y: 16}}, func(q *Quad) {
-		quads++
-		fragments += q.Coverage()
-	})
+	b := rasterize(&tri, geom.AABB2{Max: geom.Vec2{X: 16, Y: 16}})
 	// Half of 256 pixels ~ 128; allow boundary slack.
-	if fragments < 110 || fragments > 140 {
+	if fragments := coverage(b); fragments < 110 || fragments > 140 {
 		t.Fatalf("fragments = %d, want ~128", fragments)
 	}
-	if quads == 0 || quads > 64 {
+	if quads := b.Len(); quads == 0 || quads > 64 {
 		t.Fatalf("quads = %d", quads)
 	}
 }
@@ -92,13 +104,8 @@ func TestRasterizeQuadsClipRestricts(t *testing.T) {
 	tri := ScreenTriangle{
 		Tri: geom.Triangle2{V: [3]geom.Vec3{v3(0, 0, 0), v3(64, 0, 0), v3(0, 64, 0)}},
 	}
-	count := func(clip geom.AABB2) int {
-		n := 0
-		RasterizeQuads(&tri, clip, func(q *Quad) { n += q.Coverage() })
-		return n
-	}
-	full := count(geom.AABB2{Max: geom.Vec2{X: 64, Y: 64}})
-	tile := count(geom.AABB2{Min: geom.Vec2{X: 0, Y: 0}, Max: geom.Vec2{X: 32, Y: 32}})
+	full := coverage(rasterize(&tri, geom.AABB2{Max: geom.Vec2{X: 64, Y: 64}}))
+	tile := coverage(rasterize(&tri, geom.AABB2{Min: geom.Vec2{X: 0, Y: 0}, Max: geom.Vec2{X: 32, Y: 32}}))
 	if tile >= full || tile == 0 {
 		t.Fatalf("tile coverage %d vs full %d", tile, full)
 	}
@@ -106,20 +113,23 @@ func TestRasterizeQuadsClipRestricts(t *testing.T) {
 
 func TestRasterizeQuadsTilePartitionExact(t *testing.T) {
 	// Rasterizing per 16px tile must reproduce exactly the full-screen
-	// fragment count: the per-tile union partitions coverage.
+	// fragment count: the per-tile union partitions coverage. The tiles
+	// append into one reused batch, as the tile simulator's loop does.
 	tri := ScreenTriangle{
 		Tri: geom.Triangle2{V: [3]geom.Vec3{v3(3, 5, 0), v3(61, 17, 0), v3(22, 59, 0)}},
 	}
-	full := 0
-	RasterizeQuads(&tri, fullscreenClip(), func(q *Quad) { full += q.Coverage() })
+	full := coverage(rasterize(&tri, fullscreenClip()))
 	tiled := 0
+	var b QuadBatch
 	for ty := 0; ty < 4; ty++ {
 		for tx := 0; tx < 4; tx++ {
 			clip := geom.AABB2{
 				Min: geom.Vec2{X: float64(tx * 16), Y: float64(ty * 16)},
 				Max: geom.Vec2{X: float64(tx*16 + 16), Y: float64(ty*16 + 16)},
 			}
-			RasterizeQuads(&tri, clip, func(q *Quad) { tiled += q.Coverage() })
+			b.Reset()
+			b.AppendQuads(&tri, clip)
+			tiled += coverage(&b)
 		}
 	}
 	if full == 0 || tiled != full {
@@ -131,17 +141,29 @@ func TestRasterizeQuadsOutsideClip(t *testing.T) {
 	tri := ScreenTriangle{
 		Tri: geom.Triangle2{V: [3]geom.Vec3{v3(100, 100, 0), v3(110, 100, 0), v3(100, 110, 0)}},
 	}
-	n := 0
-	RasterizeQuads(&tri, fullscreenClip(), func(*Quad) { n++ })
-	if n != 0 {
+	if n := rasterize(&tri, fullscreenClip()).Len(); n != 0 {
 		t.Fatalf("quads outside clip = %d", n)
 	}
 }
 
 func TestQuadCoverage(t *testing.T) {
-	q := Quad{Mask: 0b1011}
-	if q.Coverage() != 3 {
-		t.Fatalf("Coverage = %d, want 3", q.Coverage())
+	// The edge x+y = 3 crosses the quad at the origin between its last
+	// sample (1.5, 1.5) and the other three, so the mask holds exactly
+	// samples 0, 1 and 2, each with the triangle's depth.
+	tri := ScreenTriangle{
+		Tri: geom.Triangle2{V: [3]geom.Vec3{v3(0, 0, 0.25), v3(3, 0, 0.25), v3(0, 3, 0.25)}},
+	}
+	b := rasterize(&tri, geom.AABB2{Max: geom.Vec2{X: 2, Y: 2}})
+	if b.Len() != 1 || b.X[0] != 0 || b.Y[0] != 0 {
+		t.Fatalf("quads = %d at (%v, %v), want one at the origin", b.Len(), b.X, b.Y)
+	}
+	if b.Mask[0] != 0b0111 || coverage(b) != 3 {
+		t.Fatalf("mask = %04b, want 0111", b.Mask[0])
+	}
+	for s := 0; s < 3; s++ {
+		if math.Abs(b.Depth[s]-0.25) > 1e-12 {
+			t.Fatalf("sample %d depth = %v, want 0.25", s, b.Depth[s])
+		}
 	}
 }
 
@@ -150,13 +172,17 @@ func TestQuadUVInterpolation(t *testing.T) {
 		Tri: geom.Triangle2{V: [3]geom.Vec3{v3(0, 0, 0), v3(32, 0, 0), v3(0, 32, 0)}},
 		UV:  [3]geom.Vec2{{X: 0, Y: 0}, {X: 1, Y: 0}, {X: 0, Y: 1}},
 	}
-	RasterizeQuads(&tri, fullscreenClip(), func(q *Quad) {
-		wantU := (float64(q.X) + 1) / 32
-		wantV := (float64(q.Y) + 1) / 32
-		if math.Abs(q.U-wantU) > 1e-9 || math.Abs(q.V-wantV) > 1e-9 {
-			t.Fatalf("quad (%d,%d) UV = (%v,%v), want (%v,%v)", q.X, q.Y, q.U, q.V, wantU, wantV)
+	b := rasterize(&tri, fullscreenClip())
+	if b.Len() == 0 {
+		t.Fatal("no quads")
+	}
+	for i := 0; i < b.Len(); i++ {
+		wantU := (float64(b.X[i]) + 1) / 32
+		wantV := (float64(b.Y[i]) + 1) / 32
+		if math.Abs(b.U[i]-wantU) > 1e-9 || math.Abs(b.V[i]-wantV) > 1e-9 {
+			t.Fatalf("quad (%d,%d) UV = (%v,%v), want (%v,%v)", b.X[i], b.Y[i], b.U[i], b.V[i], wantU, wantV)
 		}
-	})
+	}
 }
 
 func TestDepthBufferBasics(t *testing.T) {
@@ -181,18 +207,29 @@ func TestDepthBufferBasics(t *testing.T) {
 
 func TestDepthBufferTestQuad(t *testing.T) {
 	d := NewDepthBuffer(4, 4)
-	q := Quad{X: 0, Y: 0, Mask: 0b1111, Depth: [4]float64{0.5, 0.5, 0.5, 0.5}}
-	if got := d.TestQuad(&q); got != 0b1111 {
+	half := []float64{0.5, 0.5, 0.5, 0.5}
+	if got := d.TestMask(0, 0, half, 0b1111); got != 0b1111 {
 		t.Fatalf("first quad mask = %b", got)
 	}
 	// Same quad again: fully occluded.
-	if got := d.TestQuad(&q); got != 0 {
+	if got := d.TestMask(0, 0, half, 0b1111); got != 0 {
 		t.Fatalf("occluded quad mask = %b", got)
 	}
-	// Nearer on two samples only.
-	q2 := Quad{X: 0, Y: 0, Mask: 0b0011, Depth: [4]float64{0.2, 0.2}}
-	if got := d.TestQuad(&q2); got != 0b0011 {
+	// Nearer on two samples only; a read-only test passes them without
+	// writing, so the writing test that follows passes them too.
+	near := []float64{0.2, 0.2, 0, 0}
+	if got := d.TestMaskReadOnly(0, 0, near, 0b0011); got != 0b0011 {
+		t.Fatalf("read-only partial quad mask = %b", got)
+	}
+	if got := d.TestMask(0, 0, near, 0b0011); got != 0b0011 {
 		t.Fatalf("partial quad mask = %b", got)
+	}
+	if got := d.TestMaskReadOnly(0, 0, near, 0b0011); got != 0 {
+		t.Fatalf("written samples still pass: mask = %b", got)
+	}
+	// A quad straddling the buffer edge passes only its in-bounds samples.
+	if got := d.TestMask(3, 3, near, 0b1111); got != 0b0001 {
+		t.Fatalf("edge quad mask = %b", got)
 	}
 }
 
@@ -204,15 +241,12 @@ func TestOverdrawOrderMatters(t *testing.T) {
 	shaded := 0
 	clip := geom.AABB2{Max: geom.Vec2{X: 16, Y: 16}}
 	for _, tri := range []*ScreenTriangle{&near, &far} {
-		RasterizeQuads(tri, clip, func(q *Quad) {
-			m := *q
-			m.Mask = d.TestQuad(q)
-			shaded += m.Coverage()
-		})
+		b := rasterize(tri, clip)
+		for i := 0; i < b.Len(); i++ {
+			shaded += bits.OnesCount8(d.TestMask(int(b.X[i]), int(b.Y[i]), b.Depth[i*4:i*4+4], b.Mask[i]))
+		}
 	}
-	firstOnly := 0
-	RasterizeQuads(&near, clip, func(q *Quad) { firstOnly += q.Coverage() })
-	if shaded != firstOnly {
+	if firstOnly := coverage(rasterize(&near, clip)); shaded != firstOnly {
 		t.Fatalf("shaded %d, want %d (far surface should be fully culled)", shaded, firstOnly)
 	}
 }

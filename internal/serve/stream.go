@@ -13,10 +13,8 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/funcsim"
 	"repro/internal/gltrace"
 	"repro/internal/obs"
-	"repro/internal/stream"
 	"repro/megsim"
 )
 
@@ -26,9 +24,8 @@ import (
 // finishes; the accumulated strata snapshot is handed to a phase-2 job
 // through the same admission queue, dedup store and result cache every
 // campaign uses. Session memory is bounded exactly like the ingestor's:
-// per-frame state lives only while the frame sits in a stratum
-// reservoir, and the ingestor's eviction hook releases it the moment it
-// stops being a candidate.
+// a frame's feature vector lives only while the frame sits in a stratum
+// reservoir, and the status document counts those frames as pinned.
 
 const (
 	// DefaultMaxStreamSessions bounds concurrently open sessions.
@@ -52,24 +49,15 @@ var streamIngestBatch = 512
 
 // streamSession is one open chunked-upload stream.
 type streamSession struct {
-	mu       sync.Mutex
-	id       string
-	req      *CampaignRequest
-	tr       *gltrace.Trace
-	streamer *funcsim.Streamer
-	ing      *stream.Ingestor
-	// batch is the reused per-batch profile buffer (guarded by mu).
-	batch []funcsim.FrameProfile
-	// members is the per-frame payload the session pins: exactly the
-	// frames currently sitting in some stratum reservoir. The
-	// ingestor's OnEvict hook releases entries the moment a frame stops
-	// being a representative candidate, so len(members) is bounded by
-	// the vector budget however long the stream runs.
-	members  map[int]bool
-	released int
-	state    string // "open", "finished", "aborted", "expired"
-	jobID    string
-	final    *StreamStatus // frozen status once closed
+	mu  sync.Mutex
+	id  string
+	req *CampaignRequest
+	tr  *gltrace.Trace
+	// ingest is the first phase in progress (guarded by mu).
+	ingest *megsim.StreamSession
+	state  string // "open", "finished", "aborted", "expired"
+	jobID  string
+	final  *StreamStatus // frozen status once closed
 	// lastActive is the last time the session made ingest progress
 	// (open, a chunk batch, or a retryable finish); the sweeper expires
 	// open sessions idle past the store's timeout.
@@ -96,23 +84,26 @@ type StreamStatus struct {
 	JobID          string `json:"job_id,omitempty"`
 }
 
-// status snapshots the session. Callers hold sess.mu.
+// status snapshots the session. Callers hold sess.mu. Pinned frames
+// are the current reservoir members, the only frames the selection
+// can still pick; every other ingested frame is released for good.
 func (sess *streamSession) statusLocked() StreamStatus {
 	if sess.final != nil {
 		return *sess.final
 	}
+	in := sess.ingest
 	return StreamStatus{
 		ID:             sess.id,
 		Workload:       sess.tr.Name,
 		FramesTotal:    sess.tr.NumFrames(),
-		FramesIngested: sess.ing.Frames(),
-		Strata:         sess.ing.NumStrata(),
-		Merges:         sess.ing.Merges(),
-		LiveVectors:    sess.ing.LiveVectors(),
-		PeakVectors:    sess.ing.PeakVectors(),
-		VectorBudget:   sess.ing.VectorBudget(),
-		PinnedFrames:   len(sess.members),
-		ReleasedFrames: sess.released,
+		FramesIngested: in.Frames(),
+		Strata:         in.NumStrata(),
+		Merges:         in.Merges(),
+		LiveVectors:    in.LiveVectors(),
+		PeakVectors:    in.PeakVectors(),
+		VectorBudget:   in.VectorBudget(),
+		PinnedFrames:   in.ReservoirMembers(),
+		ReleasedFrames: in.Frames() - in.ReservoirMembers(),
 		State:          sess.state,
 		JobID:          sess.jobID,
 	}
@@ -125,9 +116,7 @@ func (sess *streamSession) closeLocked(state string, now time.Time) {
 	sess.closedAt = now
 	st := sess.statusLocked()
 	sess.final = &st
-	sess.streamer = nil
-	sess.ing = nil
-	sess.members = nil
+	sess.ingest = nil
 	sess.tr = nil
 }
 
@@ -299,7 +288,7 @@ func (s *Server) handleStreamOpen(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Sprintf("build trace: %v", err))
 		return
 	}
-	streamer, err := funcsim.NewStreamer(tr)
+	ingest, err := megsim.OpenStream(tr, req.StreamConfig())
 	if err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Sprintf("open stream: %v", err))
 		return
@@ -307,20 +296,10 @@ func (s *Server) handleStreamOpen(w http.ResponseWriter, r *http.Request) {
 	sess := &streamSession{
 		req:        req,
 		tr:         tr,
-		streamer:   streamer,
-		members:    map[int]bool{},
+		ingest:     ingest,
 		state:      "open",
 		lastActive: s.streams.now(),
 	}
-	scfg := req.StreamConfig()
-	scfg.OnEvict = func(frame int) {
-		// Runs inside ing.Add under sess.mu: the frame left every
-		// reservoir, so its pinned payload goes with it.
-		delete(sess.members, frame)
-		sess.released++
-	}
-	vs, fs := streamer.Static()
-	sess.ing = stream.NewIngestor(tr.Name, vs, fs, scfg)
 	id, ok := s.streams.add(sess)
 	if !ok {
 		s.rejected.Inc()
@@ -368,13 +347,12 @@ func (s *Server) handleStreamChunk(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Ingest in bounded batches, dropping the session lock between them
-	// so status polls interleave with even the largest chunk. Each batch
-	// is characterized frame-parallel, then pinned and ingested in frame
-	// order, all under the lock. Ingest order stays the workload's frame
-	// order whatever the interleaving: each batch replays from wherever
-	// the ingestor's frame cursor stands when the lock is reacquired. A
-	// batch whose characterization fails (or whose client went away) is
-	// discarded whole, so the ingestor never sees a partial batch.
+	// so status polls interleave with even the largest chunk. Ingest
+	// order stays the workload's frame order whatever the interleaving:
+	// each batch replays from wherever the session's frame cursor stands
+	// when the lock is reacquired. The session stops at a frame
+	// boundary, so a failed batch (or one whose client went away) leaves
+	// the frames before the failure ingested and nothing torn.
 	var (
 		st       StreamStatus
 		ingested int
@@ -387,7 +365,7 @@ func (s *Server) handleStreamChunk(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusConflict, fmt.Sprintf("stream is %s", state))
 			return
 		}
-		remaining := sess.tr.NumFrames() - sess.ing.Frames()
+		remaining := sess.tr.NumFrames() - sess.ingest.Frames()
 		if remaining == 0 {
 			if ingested == 0 {
 				sess.mu.Unlock()
@@ -400,34 +378,11 @@ func (s *Server) handleStreamChunk(w http.ResponseWriter, r *http.Request) {
 			sess.mu.Unlock()
 			break
 		}
-		n := creq.Count - ingested
-		if n > remaining {
-			n = remaining
-		}
-		if n > streamIngestBatch {
-			n = streamIngestBatch
-		}
-		first := sess.ing.Frames()
-		if cap(sess.batch) < n {
-			sess.batch = make([]funcsim.FrameProfile, n)
-		}
-		batch := sess.batch[:n]
-		if err := sess.streamer.ProfileRange(r.Context(), batch, first); err != nil {
+		n, err := sess.ingest.Ingest(r.Context(), min(creq.Count-ingested, remaining, streamIngestBatch), nil)
+		if err != nil {
 			sess.mu.Unlock()
-			writeError(w, http.StatusInternalServerError, fmt.Sprintf("frames [%d,%d): %v", first, first+n, err))
+			writeError(w, http.StatusInternalServerError, err.Error())
 			return
-		}
-		for i := range batch {
-			f := first + i
-			// Pin before Add: the eviction hook may release this very frame
-			// during ingest (it never made any reservoir).
-			sess.members[f] = true
-			if err := sess.ing.Add(&batch[i]); err != nil {
-				delete(sess.members, f)
-				sess.mu.Unlock()
-				writeError(w, http.StatusInternalServerError, fmt.Sprintf("frame %d: %v", f, err))
-				return
-			}
 		}
 		ingested += n
 		sess.lastActive = s.streams.now()
@@ -455,12 +410,12 @@ func (s *Server) handleStreamFinish(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusConflict, fmt.Sprintf("stream is %s", sess.state))
 		return
 	}
-	frames := sess.ing.Frames()
+	frames := sess.ingest.Frames()
 	if frames == 0 {
 		writeError(w, http.StatusBadRequest, "empty stream: ingest at least one chunk before finishing")
 		return
 	}
-	snap, err := sess.ing.Snapshot()
+	snap, err := sess.ingest.Snapshot()
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, fmt.Sprintf("strata snapshot: %v", err))
 		return

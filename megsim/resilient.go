@@ -160,82 +160,132 @@ func SamplePrepared(ctx context.Context, tr *Trace, ch *Characterization, sel *S
 		rcfg.Obs = gpu.Obs
 	}
 
-	quarantined := map[int]bool{}
-	for _, f := range rcfg.Quarantine {
-		quarantined[f] = true
-	}
-	sup := &ResilienceResult{CheckpointPath: rcfg.CheckpointPath}
-	for f := range quarantined {
-		// Mirror the supervisor's record for frames the caller excluded
-		// up front, so the quarantine is visible in one place.
-		sup.Quarantined = append(sup.Quarantined, QuarantineRecord{Frame: f, Err: "pre-quarantined"})
-	}
-	sort.Slice(sup.Quarantined, func(i, j int) bool { return sup.Quarantined[i].Frame < sup.Quarantined[j].Frame })
-
 	// Supervise-then-degrade fixed point: simulate the active
 	// representatives; every newly quarantined frame re-degrades the
 	// selection, whose substitutes are simulated in the next round.
-	// Each round resumes the same checkpoint, so one file accumulates
-	// the whole campaign. Terminates because each round either
-	// quarantines a new frame (finitely many) or stops.
-	repStats := map[int]FrameStats{}
-	deg := resilience.Degrade(sel, quarantined)
-	for round := 0; ; round++ {
-		var todo []int
-		for _, f := range deg.ActiveRepresentatives() {
-			if _, done := repStats[f]; !done {
-				todo = append(todo, f)
-			}
-		}
-		if len(todo) == 0 {
-			break
-		}
-		roundCfg := rcfg
-		roundCfg.Quarantine = nil // pre-quarantine handled via Degrade
-		if round > 0 {
-			roundCfg.Resume = true // later rounds extend the round-0 checkpoint
-		}
-		r, err := resilience.Run(ctx, todo, fn, roundCfg)
-		if r != nil {
-			mergeSupervision(sup, r, round == 0)
-			for f, st := range r.Stats {
-				repStats[f] = st
-			}
-		}
-		if err != nil {
-			return &ResilientRun{Run: &Run{Trace: tr, Characterization: ch, Selection: sel}, Supervision: sup}, err
-		}
-		fresh := false
-		for _, q := range r.Quarantined {
-			if !quarantined[q.Frame] {
-				quarantined[q.Frame] = true
-				fresh = true
-			}
-		}
-		if !fresh {
-			break
-		}
-		deg = resilience.Degrade(sel, quarantined)
+	sup := newSupervisor(fn, rcfg)
+	degrade := func(q map[int]bool) []int { return resilience.Degrade(sel, q).ActiveRepresentatives() }
+	if err := sup.settle(ctx, degrade, false, nil); err != nil {
+		return &ResilientRun{Run: &Run{Trace: tr, Characterization: ch, Selection: sel}, Supervision: sup.result}, err
 	}
 
 	run := &Run{
 		Trace:               tr,
 		Characterization:    ch,
 		Selection:           sel,
-		RepresentativeStats: repStats,
+		RepresentativeStats: sup.stats,
 	}
-	out := &ResilientRun{Run: run, Supervision: sup}
+	out := &ResilientRun{Run: run, Supervision: sup.result}
 	var err error
-	if deg.Degraded() {
+	if deg := resilience.Degrade(sel, sup.quarantined); deg.Degraded() {
 		out.Degradation = deg
-		run.Estimate, err = deg.Estimate(repStats)
+		run.Estimate, err = deg.Estimate(sup.stats)
 	} else {
-		run.Estimate, err = sel.Estimate(repStats)
+		run.Estimate, err = sel.Estimate(sup.stats)
 	}
 	if err != nil {
 		return out, fmt.Errorf("megsim: estimation: %w", err)
 	}
 	return out, nil
+}
+
+// supervisor is the phase-2 state of one sampling campaign, shared by
+// SamplePrepared and SampleStreaming: the quarantine set, the stats of
+// every simulated frame and the aggregate supervision record. Frames
+// the caller quarantined up front are mirrored into the aggregate once,
+// as "pre-quarantined" records, so every quarantine is visible in one
+// place.
+type supervisor struct {
+	fn ResilientFrameFunc
+	// cfg is the per-round configuration. Round 0 resumes the
+	// checkpoint only when cfg.Resume asks; later rounds always resume
+	// it, so one file accumulates the whole campaign.
+	cfg         ResilienceConfig
+	rounds      int
+	quarantined map[int]bool
+	stats       map[int]FrameStats
+	result      *ResilienceResult
+}
+
+func newSupervisor(fn ResilientFrameFunc, cfg ResilienceConfig) *supervisor {
+	s := &supervisor{
+		fn:          fn,
+		cfg:         cfg,
+		quarantined: map[int]bool{},
+		stats:       map[int]FrameStats{},
+		result:      &ResilienceResult{CheckpointPath: cfg.CheckpointPath},
+	}
+	for _, f := range cfg.Quarantine {
+		s.quarantined[f] = true
+	}
+	for f := range s.quarantined {
+		s.result.Quarantined = append(s.result.Quarantined, QuarantineRecord{Frame: f, Err: "pre-quarantined"})
+	}
+	sort.Slice(s.result.Quarantined, func(i, j int) bool { return s.result.Quarantined[i].Frame < s.result.Quarantined[j].Frame })
+	// The plan functions exclude quarantined frames, so the supervisor
+	// never needs to see them.
+	s.cfg.Quarantine = nil
+	return s
+}
+
+// round runs one supervisor pass over frames, recording observability
+// into parent. state, when non-nil, supplies the strata snapshot every
+// per-frame checkpoint rewrite carries. Completed stats and fresh
+// quarantines fold into the supervisor's sets; the caller decides
+// whether the round's record joins the aggregate.
+func (s *supervisor) round(ctx context.Context, frames []int, parent *ObsRegistry, state func() ([]byte, error)) (*ResilienceResult, error) {
+	cfg := s.cfg
+	cfg.Resume = cfg.Resume || s.rounds > 0
+	cfg.Obs = parent
+	if state != nil {
+		snap, err := state()
+		if err != nil {
+			return nil, err
+		}
+		cfg.StreamState = snap
+	}
+	s.rounds++
+	r, err := resilience.Run(ctx, frames, s.fn, cfg)
+	if r != nil {
+		for f, st := range r.Stats {
+			s.stats[f] = st
+		}
+		for _, q := range r.Quarantined {
+			s.quarantined[q.Frame] = true
+		}
+	}
+	return r, err
+}
+
+// settle is the supervise-then-degrade fixed point: each round
+// simulates the frames plan names for the current quarantine set that
+// settle has not requested yet, skipping frames an earlier round
+// already simulated unless redo is set, and every fresh quarantine
+// re-plans. A negative plan entry (a lost stratum) requests nothing.
+// It terminates because each round either quarantines a new frame
+// (finitely many) or leaves nothing new to request.
+func (s *supervisor) settle(ctx context.Context, plan func(quarantined map[int]bool) []int, redo bool, state func() ([]byte, error)) error {
+	requested := map[int]bool{}
+	for round := 0; ; round++ {
+		var todo []int
+		for _, f := range plan(s.quarantined) {
+			if _, done := s.stats[f]; f < 0 || requested[f] || (done && !redo) {
+				continue
+			}
+			requested[f] = true
+			todo = append(todo, f)
+		}
+		if len(todo) == 0 {
+			return nil
+		}
+		r, err := s.round(ctx, todo, s.cfg.Obs, state)
+		if r != nil {
+			mergeSupervision(s.result, r, round == 0)
+		}
+		if err != nil {
+			return err
+		}
+	}
 }
 
 // mergeSupervision folds one supervisor round into the aggregate.

@@ -203,6 +203,12 @@ func TestSampleStreamingQuarantineDegrades(t *testing.T) {
 	if _, ok := srun.RepresentativeStats[victim]; ok {
 		t.Fatalf("quarantined frame %d was simulated", victim)
 	}
+	// The up-front quarantine is reported exactly as a batch campaign
+	// reports it.
+	want := []megsim.QuarantineRecord{{Frame: victim, Err: "pre-quarantined"}}
+	if got := srun.Supervision.Quarantined; !reflect.DeepEqual(got, want) {
+		t.Fatalf("Supervision.Quarantined = %+v, want %+v", got, want)
+	}
 }
 
 // TestSampleStreamingCancelMidWindow: a campaign cancelled during an
@@ -256,5 +262,115 @@ func TestSampleStreamingCancelMidWindow(t *testing.T) {
 	}
 	if got := normalizeReport(serve.NewStreamingCampaignReport(res, 0)); !bytes.Equal(got, refBytes) {
 		t.Fatalf("resumed report not byte-identical to uninterrupted run:\n%s\n---\n%s", got, refBytes)
+	}
+}
+
+// TestStreamSessionChunkInvariant: a session fed in ragged chunks, some
+// spanning a characterization window boundary, ends in the same strata
+// as one fed the whole trace at once, and its after hook sees every
+// frame exactly once, in order.
+func TestStreamSessionChunkInvariant(t *testing.T) {
+	sc := testScale()
+	sc.FrameDivisor = 8 // more frames than one characterization window
+	tr := megsim.MustGenerateBenchmark("jjo", sc)
+	n := tr.NumFrames()
+	if n <= 300 {
+		t.Fatalf("trace has %d frames, want more than 300", n)
+	}
+	ctx := context.Background()
+
+	whole, err := megsim.OpenStream(tr, megsim.StreamConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := whole.Ingest(ctx, n+10, nil); err != nil || got != n {
+		t.Fatalf("whole-trace ingest added %d frames (err %v), want %d", got, err, n)
+	}
+	want, err := whole.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	chunked, err := megsim.OpenStream(tr, megsim.StreamConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	next := 0
+	after := func(f int) error {
+		if f != next {
+			t.Fatalf("after saw frame %d, want %d", f, next)
+		}
+		next++
+		return nil
+	}
+	for _, c := range []int{1, 300, 7, n} {
+		before := chunked.Frames()
+		got, err := chunked.Ingest(ctx, c, after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if wantN := min(c, n-before); got != wantN {
+			t.Fatalf("chunk of %d at frame %d added %d frames, want %d", c, before, got, wantN)
+		}
+	}
+	if next != n {
+		t.Fatalf("after saw %d frames, want %d", next, n)
+	}
+	if got, err := chunked.Snapshot(); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("chunked strata differ from whole-trace strata (err %v)", err)
+	}
+	if got, err := chunked.Ingest(ctx, 5, nil); got != 0 || err != nil {
+		t.Fatalf("ingest past the end added %d frames (err %v)", got, err)
+	}
+}
+
+// TestStreamSessionIngestStops: ingest stops at a frame boundary. An
+// error from the after hook stops right after its frame, a cancelled
+// context adds nothing more, and a later call resumes at the next
+// frame with strata identical to an uninterrupted ingest.
+func TestStreamSessionIngestStops(t *testing.T) {
+	tr := megsim.MustGenerateBenchmark("hcr", testScale())
+	n := tr.NumFrames()
+	bg := context.Background()
+
+	ref, err := megsim.OpenStream(tr, megsim.StreamConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ref.Ingest(bg, n, nil); err != nil {
+		t.Fatal(err)
+	}
+	want, err := ref.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	sess, err := megsim.OpenStream(tr, megsim.StreamConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop := errors.New("stop")
+	const at = 5
+	got, err := sess.Ingest(bg, n, func(f int) error {
+		if f == at {
+			return stop
+		}
+		return nil
+	})
+	if !errors.Is(err, stop) || got != at+1 || sess.Frames() != at+1 {
+		t.Fatalf("hook stop: added %d, frames %d, err %v; want %d frames and the hook's error", got, sess.Frames(), err, at+1)
+	}
+
+	ctx, cancel := context.WithCancel(bg)
+	cancel()
+	if got, err := sess.Ingest(ctx, n, nil); !errors.Is(err, context.Canceled) || got != 0 || sess.Frames() != at+1 {
+		t.Fatalf("cancelled ingest: added %d, frames %d, err %v", got, sess.Frames(), err)
+	}
+
+	if _, err := sess.Ingest(bg, n, nil); err != nil {
+		t.Fatal(err)
+	}
+	if snap, err := sess.Snapshot(); err != nil || !bytes.Equal(snap, want) {
+		t.Fatalf("interrupted ingest ended in different strata (err %v)", err)
 	}
 }
